@@ -10,6 +10,7 @@ artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -93,6 +94,11 @@ class EdgeSpec:
             raise ConfigError(f"edges[{eid}].base_mem must be in [0, mem_max]")
         if self.capacity_factor <= 0.0:
             raise ConfigError(f"edges[{eid}].capacity_factor must be positive")
+        for i, spike in enumerate(self.spikes):
+            if not math.isfinite(spike.start):
+                raise ConfigError(f"edges[{eid}].spikes[{i}].start must be finite")
+            if not (math.isfinite(spike.duration) and spike.duration >= 0.0):
+                raise ConfigError(f"edges[{eid}].spikes[{i}].duration must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -110,15 +116,17 @@ class SpikeModel:
     duration_range: tuple[float, float] = (20.0, 60.0)
 
     def __post_init__(self) -> None:
-        if self.rate < 0.0:
-            raise ConfigError("spike_model.rate must be >= 0")
+        # An infinite rate would draw zero gaps forever; a NaN would
+        # slip past every comparison below.
+        if not (math.isfinite(self.rate) and self.rate >= 0.0):
+            raise ConfigError("spike_model.rate must be finite and >= 0")
         for name, (lo, hi) in (
             ("cpu_range", self.cpu_range),
             ("mem_range", self.mem_range),
             ("duration_range", self.duration_range),
         ):
-            if lo > hi or lo < 0.0:
-                raise ConfigError(f"spike_model.{name} must satisfy 0 <= lo <= hi")
+            if not (0.0 <= lo <= hi and math.isfinite(hi)):
+                raise ConfigError(f"spike_model.{name} must satisfy 0 <= lo <= hi < inf")
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,17 @@ belongs to the scheduler; the gateway only reports it.
 Two trace sources exist: a seeded synthetic generator in which load is
 base plus any active spikes plus bounded measurement noise, and a CSV
 replay source that reproduces a recorded trace bit-exactly.
+
+Spike load is read from a per-device ``SpikeTable``: the sum of active
+spikes is piecewise constant between spike starts and ends, so it is
+computed once per interval and looked up by bisection.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from bisect import bisect_right, insort
+from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Iterable, Optional, Sequence
@@ -78,6 +83,10 @@ class DeviceProfile:
     base_cpu: float = 0.0
     base_mem: float = 0.0
     spikes: tuple[LoadSpike, ...] = ()
+    spike_table: SpikeTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "spike_table", SpikeTable(self.spikes))
 
 
 def spike_load(spikes: Iterable[LoadSpike], t: float) -> tuple[float, float]:
@@ -89,6 +98,36 @@ def spike_load(spikes: Iterable[LoadSpike], t: float) -> tuple[float, float]:
             cpu += s.cpu_add
             mem += s.mem_add
     return cpu, mem
+
+
+class SpikeTable:
+    """``spike_load`` of one spike set as a step function of time.
+
+    The set of active spikes only changes at a spike's start or end, so
+    the breakpoints are every ``start`` and ``start + duration`` (the
+    sums ``active_at`` compares against) and the load is constant from
+    one breakpoint up to the next. Each interval's value comes from
+    ``spike_load`` over the spikes live in it, in their original order,
+    so ``at(t)`` returns the very floats ``spike_load(spikes, t)`` does.
+    """
+
+    def __init__(self, spikes: Sequence[LoadSpike]) -> None:
+        ends = [s.start + s.duration for s in spikes]
+        self.breakpoints = sorted({s.start for s in spikes}.union(ends))
+        by_start = sorted(range(len(spikes)), key=lambda i: spikes[i].start)
+        self.values = [(0.0, 0.0)]  # before the first breakpoint
+        live: list[int] = []  # indices started by the breakpoint, ascending
+        k = 0
+        for b in self.breakpoints:
+            while k < len(by_start) and spikes[by_start[k]].start <= b:
+                insort(live, by_start[k])
+                k += 1
+            live = [i for i in live if ends[i] > b]
+            self.values.append(spike_load([spikes[i] for i in live], b))
+
+    def at(self, t: float) -> tuple[float, float]:
+        """Summed (cpu, mem) of the spikes active at time t."""
+        return self.values[bisect_right(self.breakpoints, t)]
 
 
 def _noise(seed: int, edge_id: str, axis: str, t: float, amplitude: float) -> float:
@@ -122,7 +161,7 @@ class SyntheticDeviceProfiler:
 
     def sample(self, t: float, extra_cpu: float = 0.0, extra_mem: float = 0.0) -> DeviceSnapshot:
         p = self.profile
-        spike_cpu, spike_mem = spike_load(p.spikes, t)
+        spike_cpu, spike_mem = p.spike_table.at(t)
         cpu = p.base_cpu + spike_cpu + extra_cpu + _noise(self.seed, p.edge_id, "cpu", t, self.noise_amp)
         mem_noise = _noise(self.seed, p.edge_id, "mem", t, self.noise_amp) / 100.0 * p.mem_max
         mem = p.base_mem + spike_mem + extra_mem + mem_noise

@@ -209,16 +209,12 @@ class Scheduler:
         """
         present = [d for d in edge_data.values() if d is not None]
         all_stale = bool(present) and all(d.stale for d in present)
-        if all_stale and self.selected_edge is not None:
-            own = calculate_utility(
-                edge_data, self.task, self.bounds, self.weights,
-                selected_edge=self.selected_edge, sticky_bonus=self.sticky_bonus,
-            )
-            return Proposal(self.robot_id, iteration, self.selected_edge, own)
         own = calculate_utility(
             edge_data, self.task, self.bounds, self.weights,
             selected_edge=self.selected_edge, sticky_bonus=self.sticky_bonus,
         )
+        if all_stale and self.selected_edge is not None:
+            return Proposal(self.robot_id, iteration, self.selected_edge, own)
         summed = exchange_and_sum(self.robot_id, own, self.peers, now, self.peer_staleness)
         return select_max_edge(summed, self.robot_id, iteration)
 

@@ -8,6 +8,16 @@ load-dependent service law. A single priority queue orders events by
 (time, priority, insertion sequence), so a (config, seed) pair fully
 determines every output byte.
 
+Periodic events (sample, exec, decision, metrics) are scheduled one
+ahead: only the first of each kind is queued up front, and handling one
+queues its successor a period later while that stays inside the
+horizon. Each periodic kind has a priority of its own (``sample``
+shares one only with replayed trace rows, which never run alongside
+it), so this orders events exactly as queuing the whole series up
+front would. Message sends and replayed trace rows are still queued
+up front. Spike load is read from each device profile's step table
+(``SpikeTable``) rather than summed over every spike on each call.
+
 Scheme semantics: ``fixed:<edge>`` pins the task to one edge and runs
 no scheduler at all; ``dynamic:<variant>`` runs the full decision
 pipeline with that variant's weight preset (unless the config names
@@ -37,7 +47,7 @@ from .profiling import (
     init_profilers,
     load_device_trace,
     load_network_trace,
-    spike_load,
+    spike_load,  # noqa: F401 - perfbench's tracer wraps simharness.spike_load
 )
 from .scheduler import Scheduler
 from .utility import DeviceSnapshot, NetworkSnapshot
@@ -310,10 +320,6 @@ class Simulation:
     def _push(self, t: float, prio: int, kind: str, payload=None) -> None:
         heapq.heappush(self._heap, (t, prio, next(self._seq), kind, payload))
 
-    @property
-    def _end_time(self) -> float:
-        return self._effective_duration
-
     def _schedule_initial_events(self) -> None:
         cfg = self.cfg
         self._effective_duration = cfg.duration
@@ -328,24 +334,19 @@ class Simulation:
             for snap in self.net_rows:
                 if snap.t <= self._effective_duration:
                     self._push(snap.t, P_SAMPLE, "trace_net", snap)
-        else:
-            t = 0.0
-            while t <= self._effective_duration:
-                self._push(t, P_SAMPLE, "sample")
-                t += cfg.sample_period
-        t = cfg.exec_model.exec_tick
-        while t <= self._effective_duration:
-            self._push(t, P_EXEC, "exec")
-            t += cfg.exec_model.exec_tick
+        tick = cfg.exec_model.exec_tick
+        periodic = []  # (first time, priority, kind, period); run() queues the rest
+        if not self.replay:
+            periodic.append((0.0, P_SAMPLE, "sample", cfg.sample_period))
+        periodic.append((tick, P_EXEC, "exec", tick))
         if self.dynamic:
-            t = cfg.decision_period
-            while t <= self._effective_duration:
-                self._push(t, P_DECISION, "decision")
-                t += cfg.decision_period
-        t = 0.0
-        while t <= self._effective_duration:
-            self._push(t, P_METRICS, "metrics")
-            t += cfg.sample_period
+            periodic.append((cfg.decision_period, P_DECISION, "decision", cfg.decision_period))
+        periodic.append((0.0, P_METRICS, "metrics", cfg.sample_period))
+        self._periods: dict[str, float] = {}
+        for t, prio, kind, period in periodic:
+            self._periods[kind] = period
+            if t <= self._effective_duration:
+                self._push(t, prio, kind)
         for rid in self.robot_ids:
             spec = self.robots[rid]
             rate = cfg.input_rate_of(spec)
@@ -369,12 +370,11 @@ class Simulation:
         """Actual (cpu %, mem MB) on an edge, including task-induced load."""
         profile = self.profiles[eid]
         st = self.exec_states[eid]
+        spike_cpu, spike_mem = profile.spike_table.at(now)
         if self.replay:
             cpu = self._trace_cpu[eid]
         else:
-            spike_cpu, _ = spike_load(profile.spikes, now)
             cpu = profile.base_cpu + spike_cpu + st.task_cpu
-        _, spike_mem = spike_load(profile.spikes, now)
         mem = profile.base_mem + spike_mem
         if st.hosting:
             mem += self.cfg.task.mem_footprint
@@ -592,11 +592,15 @@ class Simulation:
             "decision": lambda now, _: self._on_decision(now),
             "metrics": lambda now, _: self._on_metrics(now),
         }
+        periods = self._periods
         while self._heap and not self._done:
             t, prio, _, kind, payload = heapq.heappop(self._heap)
             if t > self._effective_duration + 1e-9:
                 break
             handlers[kind](t, payload)
+            period = periods.get(kind)
+            if period is not None and t + period <= self._effective_duration:
+                self._push(t + period, prio, kind)
         return self._report()
 
     def _report(self) -> MetricsReport:

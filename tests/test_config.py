@@ -3,11 +3,13 @@
 import math
 
 import pytest
+import yaml
 
 from offloadsim.config import (
     EdgeSpec,
     RobotSpec,
     ScenarioConfig,
+    SpikeModel,
     WEIGHT_PRESETS,
     config_from_dict,
     config_to_dict,
@@ -16,6 +18,7 @@ from offloadsim.config import (
     parse_scheme,
 )
 from offloadsim.errors import ConfigError
+from offloadsim.profiling import LoadSpike
 from offloadsim.scenarios import flapping_scenario, stress_scenario
 from offloadsim.utility import TaskSpec, Weights
 
@@ -77,6 +80,42 @@ def test_edge_bounds_are_validated():
         EdgeSpec("e1", mem_max=1000.0, base_mem=2000.0)
     with pytest.raises(ConfigError, match=r"edges\[e1\].capacity_factor"):
         EdgeSpec("e1", capacity_factor=0.0)
+
+
+def test_spike_with_non_finite_start_is_rejected():
+    for start in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=r"edges\[e1\].spikes\[1\].start"):
+            EdgeSpec("e1", spikes=(LoadSpike(0.0, 1.0), LoadSpike(start, 1.0)))
+
+
+def test_spike_with_negative_duration_is_rejected():
+    with pytest.raises(ConfigError, match=r"edges\[e1\].spikes\[0\].duration"):
+        EdgeSpec("e1", spikes=(LoadSpike(5.0, -1.0, cpu_add=10.0),))
+    EdgeSpec("e1", spikes=(LoadSpike(5.0, 0.0, cpu_add=10.0),))  # zero length is fine
+
+
+def test_spike_with_non_finite_duration_is_rejected():
+    for duration in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match=r"edges\[e1\].spikes\[0\].duration"):
+            EdgeSpec("e1", spikes=(LoadSpike(5.0, duration, cpu_add=10.0),))
+
+
+def test_spike_model_rate_and_ranges_must_be_finite():
+    for rate in (math.nan, math.inf, -1.0):
+        with pytest.raises(ConfigError, match=r"spike_model\.rate"):
+            SpikeModel(rate=rate)
+    for bad in ((math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (2.0, 1.0), (-1.0, 1.0)):
+        with pytest.raises(ConfigError, match=r"spike_model\.duration_range"):
+            SpikeModel(rate=0.1, duration_range=bad)
+
+
+def test_yaml_spike_with_nan_start_names_the_edge(tmp_path):
+    data = config_to_dict(stress_scenario())
+    data["edges"][1]["spikes"] = [{"start": ".nan", "duration": 10.0}]
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data).replace("'.nan'", ".nan"), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"edges\[e2\].spikes\[0\].start"):
+        load_config(path)
 
 
 def test_waypoint_times_must_strictly_increase():

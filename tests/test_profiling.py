@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from offloadsim.errors import ConfigError, TraceFormatError
@@ -13,6 +15,7 @@ from offloadsim.profiling import (
     Gateway,
     LoadSpike,
     ReplayDeviceProfiler,
+    SpikeTable,
     SyntheticDeviceProfiler,
     TraceSource,
     init_profilers,
@@ -41,6 +44,34 @@ def test_spike_adds_during_its_window():
     assert spike_load(spikes, 10.0) == (70.0, 512.0)
     assert spike_load(spikes, 14.9) == (70.0, 512.0)
     assert spike_load(spikes, 15.0) == (0.0, 0.0)
+
+
+_starts = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 10.0]),  # shared starts
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+_durations = st.one_of(
+    st.sampled_from([0.0, 1.5, 7.5]),  # zero-length spikes, overlaps on the grid
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+)
+_adds = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+_spike_sets = st.lists(
+    st.builds(LoadSpike, _starts, _durations, _adds, _adds), max_size=12
+).map(tuple)
+
+
+@given(_spike_sets)
+@example(())
+def test_spike_table_equals_spike_load_everywhere(spikes):
+    table = SpikeTable(spikes)
+    probes = [-math.inf, math.inf]
+    for b in table.breakpoints:
+        probes += [math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf)]
+    if spikes:
+        probes.append(min(s.start for s in spikes) - 1.0)
+        probes.append(max(s.start + s.duration for s in spikes) + 1.0)
+    for t in probes:
+        assert table.at(t) == spike_load(spikes, t), t
 
 
 def test_sample_is_base_plus_active_spikes():

@@ -1,5 +1,6 @@
 """Discrete-event harness: execution law, accounting, and comparisons."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -281,6 +282,51 @@ def test_identical_schemes_produce_identical_rows():
         by_seed.setdefault(row.seed, []).append(row.report)
     for seed, reports in by_seed.items():
         assert all(r == reports[0] for r in reports), seed
+
+
+# ------------------------------------------------------------ event heap
+
+def _period_count(first: float, period: float, horizon: float) -> int:
+    """Events a ``t += period`` loop from ``first`` yields up to the horizon."""
+    n, t = 0, first
+    while t <= horizon:
+        n += 1
+        t += period
+    return n
+
+
+def test_periodic_events_are_queued_one_ahead():
+    cfg = replace(stress_scenario(seed=1, scheme="dynamic:both"),
+                  duration=60.0, nominal_duration=None)
+    sim = Simulation(cfg)
+    kinds = Counter(entry[3] for entry in sim._heap)
+    assert kinds == {"send": cfg.total_quota(), "sample": 1, "exec": 1,
+                     "decision": 1, "metrics": 1}
+
+    handled: Counter[str] = Counter()
+    for kind in ("exec", "decision", "metrics"):
+        original = getattr(sim, f"_on_{kind}")
+
+        def counted(now, kind=kind, original=original):
+            handled[kind] += 1
+            original(now)
+
+        setattr(sim, f"_on_{kind}", counted)
+    report = sim.run()
+    assert not report.completed  # the clock ran to the horizon
+    tick = cfg.exec_model.exec_tick
+    assert handled == {
+        "exec": _period_count(tick, tick, cfg.duration),
+        "decision": _period_count(cfg.decision_period, cfg.decision_period, cfg.duration),
+        "metrics": _period_count(0.0, cfg.sample_period, cfg.duration),
+    }
+    assert len(report.timeseries) == handled["metrics"]
+
+
+def test_simulation_shares_one_spike_table_per_edge():
+    sim = Simulation(stress_scenario(seed=1))
+    for eid, profile in sim.profiles.items():
+        assert sim.profilers[eid].profile.spike_table is profile.spike_table
 
 
 # ----------------------------------------------------------------- replay
