@@ -24,11 +24,9 @@ from .config import (
 )
 from .consensus import (
     AllocationMemory,
-    ChannelRegistry,
     ConsensusExecutor,
     Decision,
     RemapPlan,
-    apply_remap,
     consensus,
     decide_offload,
     quorum_size,
@@ -40,7 +38,6 @@ from .errors import (
     InvalidWeightsError,
     NoCandidatesError,
     OffloadError,
-    RemapError,
     TraceFormatError,
 )
 from .netsim import LinkModel, Message, NodePose, deliver, rssi_at, throughput_of
@@ -48,7 +45,6 @@ from .profiling import (
     Gateway,
     LoadSpike,
     SyntheticDeviceProfiler,
-    TraceSource,
     load_device_trace,
     load_network_trace,
 )
@@ -69,7 +65,6 @@ from .utility import (
 
 __all__ = [
     "AllocationMemory",
-    "ChannelRegistry",
     "ConfigError",
     "ConsensusExecutor",
     "Decision",
@@ -89,7 +84,6 @@ __all__ = [
     "NoCandidatesError",
     "NodePose",
     "OffloadError",
-    "RemapError",
     "RemapPlan",
     "RobotSpec",
     "ScenarioConfig",
@@ -99,10 +93,8 @@ __all__ = [
     "SyntheticDeviceProfiler",
     "TaskSpec",
     "TraceFormatError",
-    "TraceSource",
     "WEIGHT_PRESETS",
     "Weights",
-    "apply_remap",
     "calculate_utility",
     "compare_schemes",
     "config_from_dict",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,17 +26,6 @@ from .simharness import (
     default_schemes,
     run_scenario,
 )
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Validated invocation: where the config lives and what to override."""
-
-    config_path: str
-    out_dir: Optional[str] = None
-    seed: Optional[int] = None
-    scheme: Optional[str] = None
-    verbose: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,38 +185,41 @@ def default_output_name(cfg: ScenarioConfig, suffix: str = "") -> str:
     return f"runs/{cfg.name}-{scheme}-s{cfg.seed}{tail}"
 
 
-def _resolved_config(manifest: RunManifest) -> ScenarioConfig:
-    cfg = load_config(manifest.config_path)
+def cmd_run(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     overrides = {}
-    if manifest.seed is not None:
-        overrides["seed"] = manifest.seed
-    if manifest.scheme is not None:
-        overrides["scheme"] = manifest.scheme
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if args.scheme is not None:
+        overrides["scheme"] = args.scheme
         overrides["weights"] = None  # scheme override re-selects its preset
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-def cmd_run(manifest: RunManifest) -> int:
-    cfg = _resolved_config(manifest)
+    if overrides:
+        cfg = replace(cfg, **overrides)
     report = run_scenario(cfg)
-    out_dir = Path(manifest.out_dir or default_output_name(cfg))
+    out_dir = Path(args.out or default_output_name(cfg))
     write_run_outputs(report, cfg, out_dir)
     print(f"run written to {out_dir}")
-    if manifest.verbose:
+    if args.verbose:
         print(render_summary_text(report), end="")
     return 0
 
 
-def cmd_compare(
-    manifest: RunManifest, schemes: Optional[list[str]], seeds: Optional[list[int]]
-) -> int:
-    cfg = _resolved_config(manifest)
+def cmd_compare(args: argparse.Namespace) -> int:
+    seeds_raw = _split_csv(args.seeds)
+    seeds = None
+    if seeds_raw is not None:
+        try:
+            seeds = [int(s) for s in seeds_raw]
+        except ValueError:
+            raise OffloadError(f"--seeds must be integers, got {args.seeds!r}")
+    schemes = _split_csv(args.schemes)
+    cfg = load_config(args.config)
     chosen = schemes if schemes is not None else default_schemes(cfg)
     result = compare_schemes(cfg, chosen, seeds=seeds)
     table = render_comparison_table(result)
     print(table, end="")
-    if manifest.out_dir:
-        out_dir = Path(manifest.out_dir)
+    if args.out:
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         dump_config(cfg, out_dir / "config.yaml")
         (out_dir / "comparison.csv").write_text(
@@ -238,13 +230,13 @@ def cmd_compare(
     return 0
 
 
-def cmd_replay(manifest: RunManifest, device_trace: str, net_trace: str) -> int:
-    cfg = _resolved_config(manifest)
-    report = run_scenario(cfg, device_trace=device_trace, net_trace=net_trace)
-    out_dir = Path(manifest.out_dir or default_output_name(cfg, suffix="replay"))
+def cmd_replay(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
+    report = run_scenario(cfg, device_trace=args.device_trace, net_trace=args.net_trace)
+    out_dir = Path(args.out or default_output_name(cfg, suffix="replay"))
     write_run_outputs(report, cfg, out_dir)
     print(f"replay written to {out_dir}")
-    if manifest.verbose:
+    if args.verbose:
         print(render_summary_text(report), end="")
     return 0
 
@@ -300,22 +292,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "run":
-            manifest = RunManifest(args.config, args.out, args.seed,
-                                   args.scheme, args.verbose)
-            return cmd_run(manifest)
+            return cmd_run(args)
         if args.command == "compare":
-            manifest = RunManifest(args.config, args.out)
-            seeds_raw = _split_csv(args.seeds)
-            seeds = None
-            if seeds_raw is not None:
-                try:
-                    seeds = [int(s) for s in seeds_raw]
-                except ValueError:
-                    raise OffloadError(f"--seeds must be integers, got {args.seeds!r}")
-            return cmd_compare(manifest, _split_csv(args.schemes), seeds)
+            return cmd_compare(args)
         if args.command == "replay":
-            manifest = RunManifest(args.config, args.out, verbose=args.verbose)
-            return cmd_replay(manifest, args.device_trace, args.net_trace)
+            return cmd_replay(args)
         raise OffloadError(f"unknown command {args.command!r}")
     except OffloadError as exc:
         print(f"error: {exc}", file=sys.stderr)

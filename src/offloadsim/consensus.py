@@ -11,18 +11,16 @@ Vote ties prefer the incumbent, then the smallest edge id, so a split
 fleet cannot oscillate. The first quorate winner simply becomes the
 task's home (launching is not a switch); after that an actual move
 only happens when the winner changed AND differs from the last edge
-the task was remapped to. The remap itself rebinds the task's
-channels to the winner atomically, and re-applying the same plan is a
-no-op.
+the task was remapped to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
-from .errors import ConfigError, RemapError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -45,26 +43,14 @@ class AllocationMemory:
     """What the executor remembers between rounds."""
 
     last_remapped: Optional[str] = None
-    history: list[tuple[int, str]] = field(default_factory=list)
+    last_iteration: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class RemapPlan:
-    """An atomic rename of the task's channels onto the winning edge."""
+    """A move of the task onto the winning edge."""
 
-    task_id: str
     target: str
-    in_topics: tuple[str, ...]
-    out_topics: tuple[str, ...]
-    mapping: dict[str, str]
-
-    def __post_init__(self) -> None:
-        if sorted(self.mapping) != sorted(self.in_topics):
-            raise RemapError("mapping keys must be exactly the in topics")
-        if sorted(self.mapping.values()) != sorted(self.out_topics):
-            raise RemapError("mapping values must be exactly the out topics")
-        if len(set(self.out_topics)) != len(self.out_topics):
-            raise RemapError("out topics must be unique")
 
 
 def quorum_size(total_robots: int) -> int:
@@ -108,8 +94,6 @@ def consensus(
 def decide_offload(
     decision: Decision,
     memory: AllocationMemory,
-    channels: Sequence[str],
-    task_id: str,
 ) -> Optional[RemapPlan]:
     """Turn a decision into a remap plan, or None when nothing moves.
 
@@ -121,12 +105,12 @@ def decide_offload(
     previous-winner bookkeeping.
     """
     if decision.quorate and decision.winner is not None:
-        if memory.history and memory.history[-1][0] >= decision.iteration:
+        if memory.last_iteration is not None and memory.last_iteration >= decision.iteration:
             raise ConfigError(
                 f"decision iterations must increase, got {decision.iteration} "
-                f"after {memory.history[-1][0]}"
+                f"after {memory.last_iteration}"
             )
-        memory.history.append((decision.iteration, decision.winner))
+        memory.last_iteration = decision.iteration
         if memory.last_remapped is None:
             memory.last_remapped = decision.winner
             return None
@@ -134,81 +118,22 @@ def decide_offload(
         return None
     if decision.winner == memory.last_remapped:
         return None
-    in_topics = tuple(channels)
-    mapping = {ch: f"{ch}@{decision.winner}" for ch in in_topics}
-    plan = RemapPlan(
-        task_id=task_id,
-        target=decision.winner,
-        in_topics=in_topics,
-        out_topics=tuple(mapping[ch] for ch in in_topics),
-        mapping=mapping,
-    )
     memory.last_remapped = decision.winner
-    return plan
-
-
-@dataclass
-class ChannelBinding:
-    """Where one logical task channel currently points."""
-
-    name: str
-    mapped_to: str
-    host: Optional[str] = None
-
-
-class ChannelRegistry:
-    """The single shared table of task channel bindings."""
-
-    def __init__(self, names: Sequence[str]) -> None:
-        self._bindings = {n: ChannelBinding(n, n, None) for n in names}
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._bindings
-
-    def binding(self, name: str) -> ChannelBinding:
-        return self._bindings[name]
-
-    def names(self) -> list[str]:
-        return sorted(self._bindings)
-
-    def host_of(self, name: str) -> Optional[str]:
-        return self._bindings[name].host
-
-    def snapshot(self) -> dict[str, tuple[str, Optional[str]]]:
-        return {n: (b.mapped_to, b.host) for n, b in sorted(self._bindings.items())}
-
-
-def apply_remap(plan: RemapPlan, registry: ChannelRegistry) -> ChannelRegistry:
-    """Rebind every in-channel to its renamed form on the plan's target.
-
-    All-or-nothing: the registry is checked for every channel before
-    any binding changes, so an unknown channel leaves it untouched.
-    """
-    missing = [ch for ch in plan.in_topics if ch not in registry]
-    if missing:
-        raise RemapError(f"unknown channels in remap plan: {missing}")
-    for ch in plan.in_topics:
-        binding = registry.binding(ch)
-        binding.mapped_to = plan.mapping[ch]
-        binding.host = plan.target
-    return registry
+    return RemapPlan(decision.winner)
 
 
 class ConsensusExecutor:
     """One robot's executor: votes in, decisions and remap plans out.
 
     Every robot runs one of these over the same proposal set each
-    round; the harness applies at most one of the (identical) plans to
-    the shared registry per iteration.
+    round; the harness applies at most one of the (identical) plans
+    per iteration.
     """
 
-    def __init__(self, robot_id: str, total_robots: int, task_id: str,
-                 channels: Sequence[str]) -> None:
+    def __init__(self, robot_id: str, total_robots: int) -> None:
         quorum_size(total_robots)  # validate early
         self.robot_id = robot_id
         self.total_robots = total_robots
-        self.task_id = task_id
-        self.channels = tuple(channels)
         self.previous: Optional[str] = None
         self.memory = AllocationMemory()
         self.decisions: list[Decision] = []
@@ -219,6 +144,6 @@ class ConsensusExecutor:
         decision = consensus(proposals, self.previous, self.total_robots, iteration)
         if decision.quorate:
             self.previous = decision.winner
-        plan = decide_offload(decision, self.memory, self.channels, self.task_id)
+        plan = decide_offload(decision, self.memory)
         self.decisions.append(decision)
         return decision, plan

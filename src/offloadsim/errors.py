@@ -27,9 +27,5 @@ class ConfigError(OffloadError):
     """A scenario or model parameter failed validation."""
 
 
-class RemapError(OffloadError):
-    """A channel remap plan references unknown channels."""
-
-
 class TraceFormatError(OffloadError):
     """A trace file is malformed; message carries file and line."""

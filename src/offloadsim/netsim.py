@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ConfigError
 
@@ -130,24 +130,9 @@ def rssi_at(link: LinkModel, src_pose: NodePose, dst_pose: NodePose) -> float:
     return max(RSSI_FLOOR_DBM, min(RSSI_CEILING_DBM, rssi))
 
 
-def validate_rate_tiers(tiers: Sequence[tuple[float, float]]) -> None:
-    """Reject tier tables that would make throughput non-monotone in RSSI."""
-    if not tiers:
-        raise ConfigError("rate tier table must not be empty")
-    for (hi_rssi, hi_rate), (lo_rssi, lo_rate) in zip(tiers, tiers[1:]):
-        if not (hi_rssi > lo_rssi and hi_rate >= lo_rate):
-            raise ConfigError(
-                f"rate tiers must descend in rssi and rate: {tiers}"
-            )
-
-
-def throughput_of(
-    rssi: float,
-    min_rssi: float = -85.0,
-    tiers: Sequence[tuple[float, float]] = DEFAULT_RATE_TIERS,
-) -> float:
+def throughput_of(rssi: float, min_rssi: float = -85.0) -> float:
     """Map RSSI to link throughput in Mbps via the step tier table."""
-    for tier_rssi, rate in tiers:
+    for tier_rssi, rate in DEFAULT_RATE_TIERS:
         if rssi >= tier_rssi:
             return rate
     if rssi >= min_rssi:
@@ -161,14 +146,13 @@ def deliver(
     now: float,
     base_latency: float = 0.005,
     min_rssi: float = -85.0,
-    tiers: Sequence[tuple[float, float]] = DEFAULT_RATE_TIERS,
 ) -> Delivery:
     """Compute when a message sent now arrives, or drop it.
 
     Arrival is ``now + base_latency + bits / throughput``; a zero-rate
     link yields a drop rather than an infinite delay.
     """
-    rate = throughput_of(rssi, min_rssi=min_rssi, tiers=tiers)
+    rate = throughput_of(rssi, min_rssi=min_rssi)
     if rate <= 0.0:
         return Delivery(msg, sent_at=now, throughput_mbps=0.0, arrival_at=None)
     tx_time = (msg.size_bytes * 8.0) / (rate * 1e6)

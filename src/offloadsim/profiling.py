@@ -7,9 +7,9 @@ edge and reports its age, flagging data stale once it is older than
 three sample periods. Staleness policy (what to do about a stale edge)
 belongs to the scheduler; the gateway only reports it.
 
-Two trace sources exist: a seeded synthetic generator in which load is
-base plus any active spikes plus bounded measurement noise, and a CSV
-replay source that reproduces a recorded trace bit-exactly.
+Readings come either from a seeded synthetic generator, in which load
+is base plus any active spikes plus bounded measurement noise, or from
+device and network trace CSVs that the harness replays bit-exactly.
 
 Spike load is read from a per-device ``SpikeTable``: the sum of active
 spikes is piecewise constant between spike starts and ends, so it is
@@ -19,46 +19,18 @@ computed once per interval and looked up by bisection.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Iterable, Optional, Sequence
 
-from .errors import ConfigError, TraceFormatError
+from .errors import ConfigError, InvalidSnapshotError, TraceFormatError
 from .utility import DeviceSnapshot, NetworkSnapshot
-
-SYNTHETIC = "synthetic-generator"
-CSV_REPLAY = "csv-replay"
 
 DEVICE_TRACE_HEADER = ["t", "edge_id", "cpu_max", "cpu_used", "mem_max", "mem_used"]
 NETWORK_TRACE_HEADER = ["t", "robot_id", "edge_id", "rssi"]
-
-# A reading older than this many sample periods is flagged stale.
-STALE_AFTER_PERIODS = 3.0
-
-
-@dataclass(frozen=True)
-class TraceSource:
-    """Where profiler readings come from and how often they are taken."""
-
-    kind: str = SYNTHETIC
-    seed: int = 0
-    sample_period: float = 1.0
-    path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (SYNTHETIC, CSV_REPLAY):
-            raise ConfigError(f"unknown trace source kind {self.kind!r}")
-        if self.sample_period <= 0.0:
-            raise ConfigError(f"sample_period must be positive, got {self.sample_period}")
-        if self.kind == CSV_REPLAY and not self.path:
-            raise ConfigError("csv-replay source requires a trace path")
-
-    @property
-    def stale_after(self) -> float:
-        return STALE_AFTER_PERIODS * self.sample_period
-
 
 @dataclass(frozen=True)
 class LoadSpike:
@@ -143,9 +115,7 @@ class SyntheticDeviceProfiler:
     """Generates device readings as base load + active spikes + noise.
 
     ``noise_amp`` is in percentage points and applies to CPU directly
-    and to memory as a percentage of capacity. ``extra_cpu`` (points)
-    and ``extra_mem`` (MB) let the caller fold in load the profiled
-    task itself induces on the device.
+    and to memory as a percentage of capacity.
     """
 
     def __init__(self, profile: DeviceProfile, seed: int, sample_period: float,
@@ -159,12 +129,12 @@ class SyntheticDeviceProfiler:
         self.sample_period = sample_period
         self.noise_amp = noise_amp
 
-    def sample(self, t: float, extra_cpu: float = 0.0, extra_mem: float = 0.0) -> DeviceSnapshot:
+    def sample(self, t: float) -> DeviceSnapshot:
         p = self.profile
         spike_cpu, spike_mem = p.spike_table.at(t)
-        cpu = p.base_cpu + spike_cpu + extra_cpu + _noise(self.seed, p.edge_id, "cpu", t, self.noise_amp)
+        cpu = p.base_cpu + spike_cpu + _noise(self.seed, p.edge_id, "cpu", t, self.noise_amp)
         mem_noise = _noise(self.seed, p.edge_id, "mem", t, self.noise_amp) / 100.0 * p.mem_max
-        mem = p.base_mem + spike_mem + extra_mem + mem_noise
+        mem = p.base_mem + spike_mem + mem_noise
         return DeviceSnapshot(
             edge_id=p.edge_id,
             t=t,
@@ -175,42 +145,6 @@ class SyntheticDeviceProfiler:
         )
 
 
-class ReplayDeviceProfiler:
-    """Replays recorded device readings for one edge, bit-exactly."""
-
-    def __init__(self, edge_id: str, rows: Sequence[DeviceSnapshot]) -> None:
-        self.edge_id = edge_id
-        self.rows = list(rows)
-
-
-def init_profilers(
-    profiles: Sequence[DeviceProfile],
-    source: TraceSource,
-    noise_amp: float = 2.0,
-):
-    """Build one profiler per edge from the configured trace source.
-
-    Returns a dict keyed by edge id. Duplicate edge ids are a config
-    error; for replay sources, edges missing from the trace simply get
-    an empty replay stream (they will show up as absent downstream).
-    """
-    registry: dict[str, object] = {}
-    for p in profiles:
-        if p.edge_id in registry:
-            raise ConfigError(f"duplicate edge id {p.edge_id!r}")
-        registry[p.edge_id] = None
-    if source.kind == SYNTHETIC:
-        for p in profiles:
-            registry[p.edge_id] = SyntheticDeviceProfiler(
-                p, seed=source.seed, sample_period=source.sample_period, noise_amp=noise_amp
-            )
-    else:
-        rows = load_device_trace(source.path)
-        for p in profiles:
-            registry[p.edge_id] = ReplayDeviceProfiler(p.edge_id, rows.get(p.edge_id, []))
-    return registry
-
-
 # ------------------------------------------------------------ trace files
 
 def _parse_float(raw: str, path: str, lineno: int, column: str) -> float:
@@ -218,6 +152,13 @@ def _parse_float(raw: str, path: str, lineno: int, column: str) -> float:
         return float(raw)
     except ValueError:
         raise TraceFormatError(f"{path}:{lineno}: bad value {raw!r} for {column}") from None
+
+
+def _parse_time(raw: str, path: str, lineno: int) -> float:
+    t = _parse_float(raw, path, lineno, "t")
+    if not math.isfinite(t):
+        raise TraceFormatError(f"{path}:{lineno}: t must be finite, got {raw!r}")
+    return t
 
 
 def load_device_trace(path: str | Path) -> dict[str, list[DeviceSnapshot]]:
@@ -239,16 +180,19 @@ def load_device_trace(path: str | Path) -> dict[str, list[DeviceSnapshot]]:
                 continue
             if len(row) != len(DEVICE_TRACE_HEADER):
                 raise TraceFormatError(f"{path}:{lineno}: expected {len(DEVICE_TRACE_HEADER)} fields, got {len(row)}")
-            t = _parse_float(row[0], path, lineno, "t")
+            t = _parse_time(row[0], path, lineno)
             edge_id = row[1]
-            snap = DeviceSnapshot(
-                edge_id=edge_id,
-                t=t,
-                cpu_max=_parse_float(row[2], path, lineno, "cpu_max"),
-                cpu_used=_parse_float(row[3], path, lineno, "cpu_used"),
-                mem_max=_parse_float(row[4], path, lineno, "mem_max"),
-                mem_used=_parse_float(row[5], path, lineno, "mem_used"),
-            )
+            try:
+                snap = DeviceSnapshot(
+                    edge_id=edge_id,
+                    t=t,
+                    cpu_max=_parse_float(row[2], path, lineno, "cpu_max"),
+                    cpu_used=_parse_float(row[3], path, lineno, "cpu_used"),
+                    mem_max=_parse_float(row[4], path, lineno, "mem_max"),
+                    mem_used=_parse_float(row[5], path, lineno, "mem_used"),
+                )
+            except InvalidSnapshotError as exc:
+                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
             out.setdefault(edge_id, []).append(snap)
     return out
 
@@ -272,14 +216,16 @@ def load_network_trace(path: str | Path) -> list[NetworkSnapshot]:
                 continue
             if len(row) != len(NETWORK_TRACE_HEADER):
                 raise TraceFormatError(f"{path}:{lineno}: expected {len(NETWORK_TRACE_HEADER)} fields, got {len(row)}")
-            out.append(
-                NetworkSnapshot(
+            try:
+                snap = NetworkSnapshot(
                     robot_id=row[1],
                     edge_id=row[2],
-                    t=_parse_float(row[0], path, lineno, "t"),
+                    t=_parse_time(row[0], path, lineno),
                     rssi=_parse_float(row[3], path, lineno, "rssi"),
                 )
-            )
+            except InvalidSnapshotError as exc:
+                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+            out.append(snap)
     return out
 
 
@@ -300,9 +246,12 @@ class EdgeData:
 class Gateway:
     """Per-robot cache of the freshest profiler readings.
 
-    Device snapshots are shared fleet-wide; network snapshots are only
-    accepted for this robot's own links. ``collect`` reports every
-    known edge, with None standing in for edges never heard from.
+    Readings arrive in time order and none is later than the ``now``
+    of the next ``collect``, so the gateway keeps only the latest
+    device and network reading per edge. Device snapshots are shared
+    fleet-wide; network snapshots are only accepted for this robot's
+    own links. ``collect`` reports every known edge, with None
+    standing in for edges never heard from.
     """
 
     def __init__(self, robot_id: str, edge_ids: Iterable[str], stale_after: float) -> None:
@@ -310,36 +259,25 @@ class Gateway:
             raise ConfigError(f"stale_after must be positive, got {stale_after}")
         self.robot_id = robot_id
         self.stale_after = stale_after
-        self._device: dict[str, list[DeviceSnapshot]] = {e: [] for e in edge_ids}
-        self._network: dict[str, list[NetworkSnapshot]] = {e: [] for e in edge_ids}
-
-    @property
-    def edge_ids(self) -> list[str]:
-        return sorted(self._device)
+        self._device: dict[str, Optional[DeviceSnapshot]] = {e: None for e in edge_ids}
+        self._network: dict[str, Optional[NetworkSnapshot]] = {e: None for e in edge_ids}
 
     def ingest_device(self, snap: DeviceSnapshot) -> None:
         if snap.edge_id in self._device:
-            self._device[snap.edge_id].append(snap)
+            self._device[snap.edge_id] = snap
 
     def ingest_network(self, snap: NetworkSnapshot) -> None:
         if snap.robot_id != self.robot_id:
             return
         if snap.edge_id in self._network:
-            self._network[snap.edge_id].append(snap)
-
-    @staticmethod
-    def _latest(rows, now: float):
-        for row in reversed(rows):
-            if row.t <= now:
-                return row
-        return None
+            self._network[snap.edge_id] = snap
 
     def collect(self, now: float) -> dict[str, Optional[EdgeData]]:
         """Freshest view per edge at time ``now``, oldest reading decides staleness."""
         view: dict[str, Optional[EdgeData]] = {}
         for edge_id in sorted(self._device):
-            device = self._latest(self._device[edge_id], now)
-            network = self._latest(self._network[edge_id], now)
+            device = self._device[edge_id]
+            network = self._network[edge_id]
             if device is None and network is None:
                 view[edge_id] = None
                 continue

@@ -1,12 +1,13 @@
 """Deterministic discrete-event simulation of the offloading fleet.
 
-One run wires the whole pipeline together: synthetic (or replayed)
-profilers feed per-robot gateways, schedulers exchange utility tables
-and vote, every robot's executor computes the same consensus decision,
-and the winning edge executes the fleet's task messages under a
-load-dependent service law. A single priority queue orders events by
-(time, priority, insertion sequence), so a (config, seed) pair fully
-determines every output byte.
+One run wires the whole pipeline together: synthetic profilers (or
+replayed trace rows) feed per-robot gateways, schedulers exchange
+utility tables and vote, every robot's executor computes the same
+consensus decision, the task moves to the winner with its waiting work
+(``apply_remap``), and the host edge executes the fleet's task messages
+under a load-dependent service law. A single priority queue orders
+events by (time, priority, insertion sequence), so a (config, seed)
+pair fully determines every output byte.
 
 Periodic events (sample, exec, decision, metrics) are scheduled one
 ahead: only the first of each kind is queued up front, and handling one
@@ -34,17 +35,14 @@ from random import Random
 from typing import Optional
 
 from .config import EdgeSpec, ScenarioConfig, SpikeModel, parse_scheme
-from .consensus import ChannelRegistry, ConsensusExecutor, Decision, apply_remap
+from .consensus import ConsensusExecutor, Decision
 from .errors import ConfigError, TraceFormatError
 from .netsim import Message, NodePose, deliver, rssi_at
 from .profiling import (
-    CSV_REPLAY,
-    SYNTHETIC,
     DeviceProfile,
     Gateway,
     LoadSpike,
-    TraceSource,
-    init_profilers,
+    SyntheticDeviceProfiler,
     load_device_trace,
     load_network_trace,
     spike_load,  # noqa: F401 - perfbench's tracer wraps simharness.spike_load
@@ -148,6 +146,23 @@ def edge_execute(
     return processed, merges
 
 
+def apply_remap(src: EdgeExecState, dst: EdgeExecState) -> None:
+    """Move the task's waiting work from its old host to its new one.
+
+    The stream follows the task, so queued messages and merge credits
+    move with it rather than stranding on the old edge, and the old
+    edge's service state is reset.
+    """
+    for rid in src.queues:
+        dst.queues[rid] += src.queues[rid]
+        src.queues[rid] = 0
+        dst.merge_credits[rid] += src.merge_credits[rid]
+        src.merge_credits[rid] = 0
+    src.work_credit = 0.0
+    src.task_cpu = 0.0
+    src.rate_ema = 0.0
+
+
 @dataclass(frozen=True)
 class TickRow:
     """One metrics sample: true per-edge state at time t."""
@@ -234,10 +249,13 @@ class Simulation:
             for eid in self.edge_ids
         }
         if not self.replay:
-            source = TraceSource(SYNTHETIC, seed=cfg.seed, sample_period=cfg.sample_period)
-            self.profilers = init_profilers(
-                list(self.profiles.values()), source, noise_amp=cfg.noise_amp
-            )
+            self.profilers = {
+                eid: SyntheticDeviceProfiler(
+                    profile, seed=cfg.seed, sample_period=cfg.sample_period,
+                    noise_amp=cfg.noise_amp,
+                )
+                for eid, profile in self.profiles.items()
+            }
             self.device_rows = None
             self.net_rows = None
         else:
@@ -263,12 +281,9 @@ class Simulation:
             )
             for rid in self.robot_ids
         }
-        channels = tuple(f"{cfg.task.task_id}/{rid}/in" for rid in self.robot_ids)
         self.executors = {
-            rid: ConsensusExecutor(rid, len(self.robot_ids), cfg.task.task_id, channels)
-            for rid in self.robot_ids
+            rid: ConsensusExecutor(rid, len(self.robot_ids)) for rid in self.robot_ids
         }
-        self.registry = ChannelRegistry(channels)
         self.exec_states = {
             eid: EdgeExecState(
                 edge_id=eid,
@@ -442,7 +457,7 @@ class Simulation:
 
     def _on_arrival(self, now: float, msg: Message) -> None:
         # The stream follows the task: a message in flight during a
-        # switch lands on the current host, as remapped channels do.
+        # switch lands on the current host.
         self.in_flight -= 1
         host = self.host
         self.exec_states[host].queues[msg.src] += 1
@@ -504,7 +519,6 @@ class Simulation:
                 )
         plan = results[first][1]
         if plan is not None:
-            apply_remap(plan, self.registry)
             self._move_host(plan.target, now)
             self.switch_count += 1
         elif self.host is None and decision.quorate and decision.winner is not None:
@@ -522,18 +536,7 @@ class Simulation:
         for eid, st in self.exec_states.items():
             st.hosting = eid == new_host
         if old is not None and old != new_host:
-            # Remapped channels redirect the stream; waiting work moves
-            # with the task rather than stranding on the old edge.
-            src = self.exec_states[old]
-            dst = self.exec_states[new_host]
-            for rid in self.robot_ids:
-                dst.queues[rid] += src.queues[rid]
-                src.queues[rid] = 0
-                dst.merge_credits[rid] += src.merge_credits[rid]
-                src.merge_credits[rid] = 0
-            src.work_credit = 0.0
-            src.task_cpu = 0.0
-            src.rate_ema = 0.0
+            apply_remap(self.exec_states[old], self.exec_states[new_host])
         if old is None and self.pre_host_buffer:
             buffered, self.pre_host_buffer = self.pre_host_buffer, []
             for msg in buffered:

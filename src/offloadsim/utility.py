@@ -146,18 +146,6 @@ class TaskSpec:
             )
 
 
-@dataclass(frozen=True)
-class UtilityBreakdown:
-    """Per-axis scores for one edge, plus the weighted total."""
-
-    edge_id: str
-    cpu: float
-    mem: float
-    net: float
-    total: float
-    sticky_bonus: float = 0.0
-
-
 def cpu_utility(snapshot: DeviceSnapshot) -> float:
     """Fraction of CPU budget still free: (max - used) / max, clamped to [0, 1]."""
     if snapshot.cpu_max <= 0.0:

@@ -191,6 +191,20 @@ def test_replay_with_malformed_row_reports_file_and_line(tmp_path, capsys):
     assert "broken_net.csv" in err and ":4" in err
 
 
+def test_replay_with_out_of_range_reading_reports_file_and_line(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    dump_config(tiny_config(), cfg_path)
+    dev, net = write_flat_traces(tmp_path)
+    broken = tmp_path / "broken_device.csv"
+    lines = open(dev, encoding="utf-8").read().splitlines()
+    lines[2] = "0.0,e2,100,150,4096,800"  # cpu_used above cpu_max
+    broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["replay", "--config", str(cfg_path), "--device-trace", str(broken),
+                 "--net-trace", net]) == 1
+    err = capsys.readouterr().err
+    assert f"{broken}:3: " in err
+
+
 # ------------------------------------------------------------- renderers
 
 def test_renderers_are_deterministic_functions_of_the_report():

@@ -1,4 +1,4 @@
-"""Tests for consensus voting, allocation memory, and channel remapping."""
+"""Tests for consensus voting, allocation memory, and remap plans."""
 
 from __future__ import annotations
 
@@ -8,20 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from offloadsim.errors import ConfigError, RemapError
+from offloadsim.errors import ConfigError
 from offloadsim.consensus import (
     AllocationMemory,
-    ChannelRegistry,
     ConsensusExecutor,
     Decision,
-    RemapPlan,
-    apply_remap,
     consensus,
     decide_offload,
     quorum_size,
 )
-
-CHANNELS = ("merge/r1/in", "merge/r2/in", "merge/r3/in")
 
 
 # --------------------------------------------------------------- consensus
@@ -98,27 +93,25 @@ def test_first_quorate_winner_becomes_home_without_plan():
     # Launching the task at its first home is not a remap.
     memory = AllocationMemory()
     d = Decision(0, "e1", {"e1": 3}, switched=False)
-    assert decide_offload(d, memory, CHANNELS, "merge") is None
+    assert decide_offload(d, memory) is None
     assert memory.last_remapped == "e1"
-    assert memory.history == [(0, "e1")]
+    assert memory.last_iteration == 0
 
 
 def test_switch_decision_emits_a_plan_targeting_the_winner():
     memory = AllocationMemory(last_remapped="e1")
     d = Decision(1, "e2", {"e2": 2, "e1": 1}, switched=True)
-    plan = decide_offload(d, memory, CHANNELS, "merge")
+    plan = decide_offload(d, memory)
     assert plan is not None
     assert plan.target == "e2"
-    assert plan.in_topics == CHANNELS
-    assert plan.mapping["merge/r1/in"] == "merge/r1/in@e2"
     assert memory.last_remapped == "e2"
-    assert memory.history == [(1, "e2")]
+    assert memory.last_iteration == 1
 
 
 def test_unswitched_decision_emits_no_plan():
     memory = AllocationMemory(last_remapped="e1")
     d = Decision(2, "e1", {"e1": 3}, switched=False)
-    assert decide_offload(d, memory, CHANNELS, "merge") is None
+    assert decide_offload(d, memory) is None
     assert memory.last_remapped == "e1"
 
 
@@ -127,25 +120,25 @@ def test_winner_equal_to_last_remapped_is_suppressed():
     # of the last actual remap target must still block a replay.
     memory = AllocationMemory(last_remapped="e1")
     d = Decision(5, "e1", {"e1": 2, "e2": 1}, switched=True)
-    assert decide_offload(d, memory, CHANNELS, "merge") is None
+    assert decide_offload(d, memory) is None
 
 
 def test_deferred_decision_never_plans():
     memory = AllocationMemory()
     d = Decision(3, "e1", {}, switched=False, quorate=False)
-    assert decide_offload(d, memory, CHANNELS, "merge") is None
-    assert memory.history == []
+    assert decide_offload(d, memory) is None
+    assert memory.last_iteration is None
 
 
 def test_history_iterations_must_increase():
     memory = AllocationMemory()
-    decide_offload(Decision(1, "e1", {"e1": 1}, switched=True), memory, CHANNELS, "merge")
+    decide_offload(Decision(1, "e1", {"e1": 1}, switched=True), memory)
     with pytest.raises(ConfigError):
-        decide_offload(Decision(1, "e2", {"e2": 1}, switched=True), memory, CHANNELS, "merge")
+        decide_offload(Decision(1, "e2", {"e2": 1}, switched=True), memory)
 
 
 def test_stable_proposals_never_move_the_task():
-    ex = ConsensusExecutor("r1", 3, "merge", CHANNELS)
+    ex = ConsensusExecutor("r1", 3)
     plans = []
     for it in range(20):
         _, plan = ex.on_proposals({"r1": "e1", "r2": "e1", "r3": "e1"}, it)
@@ -156,58 +149,10 @@ def test_stable_proposals_never_move_the_task():
     assert all(not d.switched for d in ex.decisions)
 
 
-# ----------------------------------------------------------------- remap
-
-def test_remap_plan_must_be_a_bijection():
-    with pytest.raises(RemapError):
-        RemapPlan("merge", "e1", ("a", "b"), ("a@e1",), {"a": "a@e1"})
-    with pytest.raises(RemapError):
-        RemapPlan("merge", "e1", ("a", "b"), ("x", "x"), {"a": "x", "b": "x"})
-
-
-def test_apply_remap_rebinds_all_channels():
-    registry = ChannelRegistry(CHANNELS)
-    plan = RemapPlan(
-        "merge", "e2", CHANNELS,
-        tuple(f"{c}@e2" for c in CHANNELS),
-        {c: f"{c}@e2" for c in CHANNELS},
-    )
-    apply_remap(plan, registry)
-    for c in CHANNELS:
-        assert registry.binding(c).mapped_to == f"{c}@e2"
-        assert registry.host_of(c) == "e2"
-
-
-def test_apply_remap_is_atomic_on_unknown_channel():
-    registry = ChannelRegistry(CHANNELS[:2])
-    plan = RemapPlan(
-        "merge", "e2", CHANNELS,
-        tuple(f"{c}@e2" for c in CHANNELS),
-        {c: f"{c}@e2" for c in CHANNELS},
-    )
-    before = registry.snapshot()
-    with pytest.raises(RemapError):
-        apply_remap(plan, registry)
-    assert registry.snapshot() == before
-
-
-def test_apply_remap_is_idempotent():
-    registry = ChannelRegistry(CHANNELS)
-    plan = RemapPlan(
-        "merge", "e3", CHANNELS,
-        tuple(f"{c}@e3" for c in CHANNELS),
-        {c: f"{c}@e3" for c in CHANNELS},
-    )
-    apply_remap(plan, registry)
-    first = registry.snapshot()
-    apply_remap(plan, registry)
-    assert registry.snapshot() == first
-
-
 # -------------------------------------------------------------- executor
 
 def test_executors_agree_given_the_same_proposals():
-    fleet = [ConsensusExecutor(f"r{i}", 3, "merge", CHANNELS) for i in (1, 2, 3)]
+    fleet = [ConsensusExecutor(f"r{i}", 3) for i in (1, 2, 3)]
     rng = random.Random(11)
     for it in range(50):
         proposals = {f"r{i}": rng.choice(["e1", "e2", "e3"]) for i in (1, 2, 3)}
@@ -217,7 +162,7 @@ def test_executors_agree_given_the_same_proposals():
 
 
 def test_executor_defers_below_quorum_then_recovers():
-    ex = ConsensusExecutor("r1", 4, "merge", CHANNELS)
+    ex = ConsensusExecutor("r1", 4)
     d1, p1 = ex.on_proposals({"r1": "e1", "r2": "e1"}, 0)
     assert d1.quorate and p1 is None  # first home, not a remap
     assert ex.memory.last_remapped == "e1"

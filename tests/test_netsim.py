@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from offloadsim.errors import ConfigError
 from offloadsim.netsim import (
-    DEFAULT_RATE_TIERS,
     LinkModel,
     Message,
     NodePose,
     deliver,
     rssi_at,
     throughput_of,
-    validate_rate_tiers,
 )
 
 TOL = 1e-12
@@ -108,16 +106,6 @@ def test_rssi_monotone_nonincreasing_in_distance(d1, d2):
 )
 def test_throughput_tiers(rssi, expected):
     assert throughput_of(rssi) == expected
-
-
-def test_rate_tier_validation_rejects_nonmonotone_tables():
-    with pytest.raises(ConfigError):
-        validate_rate_tiers([(-50.0, 10.0), (-40.0, 54.0)])
-    with pytest.raises(ConfigError):
-        validate_rate_tiers([(-50.0, 10.0), (-60.0, 20.0)])
-    with pytest.raises(ConfigError):
-        validate_rate_tiers([])
-    validate_rate_tiers(DEFAULT_RATE_TIERS)
 
 
 @given(r1=st.floats(min_value=-120.0, max_value=-20.0), r2=st.floats(min_value=-120.0, max_value=-20.0))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -10,15 +11,11 @@ from hypothesis import strategies as st
 
 from offloadsim.errors import ConfigError, TraceFormatError
 from offloadsim.profiling import (
-    CSV_REPLAY,
     DeviceProfile,
     Gateway,
     LoadSpike,
-    ReplayDeviceProfiler,
     SpikeTable,
     SyntheticDeviceProfiler,
-    TraceSource,
-    init_profilers,
     load_device_trace,
     load_network_trace,
     spike_load,
@@ -86,12 +83,6 @@ def test_sample_clamps_at_capacity():
     assert snap.cpu_used == 100.0
 
 
-def test_sample_folds_in_task_load():
-    snap = profiler().sample(3.0, extra_cpu=30.0, extra_mem=512.0)
-    assert snap.cpu_used == 50.0
-    assert snap.mem_used == 1536.0
-
-
 def test_same_seed_reproduces_the_stream():
     times = [float(t) for t in range(20)]
     a = [profiler(seed=9, noise_amp=2.0).sample(t) for t in times]
@@ -118,15 +109,6 @@ def test_profiler_parameter_validation():
         SyntheticDeviceProfiler(profile(), seed=0, sample_period=0.0)
     with pytest.raises(ConfigError):
         SyntheticDeviceProfiler(profile(), seed=0, sample_period=1.0, noise_amp=-1.0)
-    with pytest.raises(ConfigError):
-        TraceSource(kind="telepathy")
-    with pytest.raises(ConfigError):
-        TraceSource(kind=CSV_REPLAY, path=None)
-
-
-def test_init_profilers_rejects_duplicate_edges():
-    with pytest.raises(ConfigError):
-        init_profilers([profile(), profile()], TraceSource(seed=1))
 
 
 # ------------------------------------------------------------ trace files
@@ -154,16 +136,6 @@ def test_device_trace_replays_bit_exactly(tmp_path):
     assert rows["e1"][0] == DeviceSnapshot("e1", 0.0, 100.0, 25.5, 4096.0, 1100.0)
     assert rows["e2"][4] == DeviceSnapshot("e2", 4.0, 100.0, 34.25, 4096.0, 904.0)
     assert [s.t for s in rows["e1"]] == [0.0, 1.0, 2.0, 3.0, 4.0]
-
-
-def test_replay_source_builds_per_edge_streams(tmp_path):
-    path = tmp_path / "device.csv"
-    path.write_text(DEVICE_ROWS, encoding="utf-8")
-    source = TraceSource(kind=CSV_REPLAY, path=str(path))
-    registry = init_profilers([profile(edge_id="e1"), profile(edge_id="e2"), profile(edge_id="e3")], source)
-    assert isinstance(registry["e1"], ReplayDeviceProfiler)
-    assert len(registry["e1"].rows) == 5
-    assert registry["e3"].rows == []  # absent from the trace
 
 
 def test_device_trace_rejects_wrong_header(tmp_path):
@@ -203,6 +175,35 @@ def test_network_trace_rejects_short_rows(tmp_path):
     path.write_text("t,robot_id,edge_id,rssi\n0.0,r1,e1\n", encoding="utf-8")
     with pytest.raises(TraceFormatError, match=r"net\.csv:2"):
         load_network_trace(path)
+
+
+# kind -> (loader, header, row template, in-range value, out-of-range value)
+TRACE_FORMATS = {
+    "device": (load_device_trace, "t,edge_id,cpu_max,cpu_used,mem_max,mem_used",
+               "{t},e1,100,{value},4096,1100", "25", "150"),
+    "net": (load_network_trace, "t,robot_id,edge_id,rssi",
+            "{t},r1,e1,{value}", "-60", "5"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TRACE_FORMATS))
+@pytest.mark.parametrize(
+    "t, out_of_range",
+    [
+        pytest.param("nan", False, id="nan-t"),
+        pytest.param("inf", False, id="inf-t"),
+        pytest.param("-inf", False, id="neg-inf-t"),
+        pytest.param("1.0", True, id="out-of-range-value"),
+    ],
+)
+def test_trace_loaders_name_file_and_line_on_bad_values(tmp_path, kind, t, out_of_range):
+    loader, header, template, ok, bad = TRACE_FORMATS[kind]
+    path = tmp_path / f"{kind}.csv"
+    rows = [header, template.format(t="0.0", value=ok),
+            template.format(t=t, value=bad if out_of_range else ok)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match="^" + re.escape(f"{path}:3: ")):
+        loader(path)
 
 
 # ---------------------------------------------------------------- gateway
@@ -247,14 +248,6 @@ def test_gateway_reports_unseen_edge_as_absent():
     view = gw.collect(2.0)
     assert view["e3"] is None
     assert view["e1"] is not None
-
-
-def test_gateway_ignores_future_snapshots():
-    gw = make_gateway(edges=("e1",))
-    gw.ingest_device(device_snap("e1", 1.0))
-    gw.ingest_device(device_snap("e1", 9.0))
-    view = gw.collect(2.0)
-    assert view["e1"].device.t == 1.0
 
 
 def test_gateway_ignores_other_robots_network_readings():

@@ -12,6 +12,7 @@ from offloadsim.config import (
     ScenarioConfig,
     SpikeModel,
 )
+from offloadsim import simharness
 from offloadsim.errors import ConfigError, TraceFormatError
 from offloadsim.scenarios import stress_scenario
 from offloadsim.simharness import (
@@ -22,7 +23,7 @@ from offloadsim.simharness import (
     inject_spikes,
     run_scenario,
 )
-from offloadsim.utility import TaskSpec
+from offloadsim.utility import DeviceSnapshot, NetworkSnapshot, TaskSpec
 
 
 def fresh_state(robots=("r1", "r2", "r3"), capacity_factor=1.0) -> EdgeExecState:
@@ -227,10 +228,45 @@ def test_one_silent_robot_blocks_merges_but_not_completion():
     assert rep.processing_frequency == 0.0
 
 
-def test_switch_count_matches_decision_log():
+def test_switch_count_matches_decision_log(monkeypatch):
+    # perfbench's tracer counts switches as calls to simharness.apply_remap.
+    moves = []
+    apply_remap = simharness.apply_remap
+
+    def recording(src, dst):
+        moves.append((src.edge_id, dst.edge_id))
+        apply_remap(src, dst)
+
+    monkeypatch.setattr(simharness, "apply_remap", recording)
     rep = run_scenario(stress_scenario(seed=4, scheme="dynamic:both"))
     assert rep.switch_count >= 1  # spikes force at least one move
     assert rep.switch_count == sum(1 for d in rep.decisions if d.switched)
+    assert len(moves) == rep.switch_count
+    assert [dst for _, dst in moves] == [d.winner for d in rep.decisions if d.switched]
+    assert all(src != dst for src, dst in moves)
+
+
+def _readings_held(obj) -> Counter:
+    """Count the device and network readings reachable from obj's attributes."""
+    held: Counter = Counter()
+    stack = list(vars(obj).values())
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (DeviceSnapshot, NetworkSnapshot)):
+            held[type(item).__name__] += 1
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set)):
+            stack.extend(item)
+    return held
+
+
+def test_gateway_memory_is_bounded_by_the_fleet_not_the_horizon():
+    sim = Simulation(stress_scenario(seed=1, scheme="dynamic:both"))
+    sim.run()
+    edges = len(sim.edge_ids)
+    for gateway in sim.gateways.values():
+        assert _readings_held(gateway) == {"DeviceSnapshot": edges, "NetworkSnapshot": edges}
 
 
 # ------------------------------------------------------------- comparison
