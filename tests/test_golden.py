@@ -22,14 +22,23 @@ from pathlib import Path
 import pytest
 
 from offloadsim.cli import render_decisions_csv, render_metrics_csv
+from offloadsim.config import EdgeSpec, RobotSpec, ScenarioConfig, SpikeModel
+from offloadsim.netsim import LinkModel
 from offloadsim.scenarios import flapping_scenario, stress_scenario
 from offloadsim.simharness import default_schemes, run_scenario
+from offloadsim.utility import TaskSpec
 
 GOLDEN = Path(__file__).parent / "golden" / "hashes.json"
 
 STRESS_SEEDS = (1, 2, 3, 4, 5)
 FLAPPING_BONUSES = (0.0, 0.05)
 REPLAY_SECONDS = 90
+
+# The many-robot pin: twelve robots, each standing within a metre of one
+# of four edge sites 100 m apart (listed by robot, r01 first).
+FLEET_SITES = {"e1": (0.0, 0.0), "e2": (100.0, 0.0), "e3": (0.0, 100.0), "e4": (100.0, 100.0)}
+FLEET_ROBOT_SITES = ("e2", "e1", "e1", "e2", "e4", "e2", "e1", "e1", "e4", "e1", "e2", "e2")
+FLEET_SEED = 3
 
 
 def write_replay_fixture(directory: Path) -> tuple[str, str]:
@@ -57,6 +66,45 @@ def write_replay_fixture(directory: Path) -> tuple[str, str]:
     return str(dev), str(net)
 
 
+def fleet_scenario() -> ScenarioConfig:
+    """Twelve robots and four edges whose summed scores often tie exactly.
+
+    The short, steep link makes every robot's link score exactly 1 to
+    the edge at its own site and exactly 0 to the others, whatever the
+    shadowing draw. e1 and e2 carry the same load and there is no
+    measurement noise, so while no spike lands on either their summed
+    scores are equal in exact arithmetic, and the order in which each
+    robot adds the fleet's scores decides its vote in the last bits.
+    """
+    robots = []
+    for k, site in enumerate(FLEET_ROBOT_SITES, 1):
+        x, y = FLEET_SITES[site]
+        i = FLEET_ROBOT_SITES[:k].count(site)
+        robots.append(RobotSpec(f"r{k:02d}", x=x + 0.2 * i, y=y + 0.1 * i))
+    edges = tuple(
+        EdgeSpec(eid, x=x, y=y, base_cpu=20.0 if eid in ("e1", "e2") else 30.0, base_mem=1000.0)
+        for eid, (x, y) in FLEET_SITES.items()
+    )
+    return ScenarioConfig(
+        name="fleet-12x4",
+        robots=tuple(robots),
+        edges=edges,
+        task=TaskSpec("merge", mem_footprint=512.0, input_rate=0.5, work_per_message=80.0),
+        scheme="dynamic:both",
+        link=LinkModel(ref_power_dbm=-20.0, path_loss_exp=4.0),
+        spike_model=SpikeModel(
+            rate=0.05,
+            cpu_range=(40.0, 70.0),
+            mem_range=(600.0, 1400.0),
+            duration_range=(5.0, 15.0),
+        ),
+        noise_amp=0.0,
+        sticky_bonus=0.0,
+        duration=60.0,
+        seed=FLEET_SEED,
+    )
+
+
 def _runs() -> dict[str, tuple]:
     """Every pinned run by name: (config, replays traces)."""
     runs: dict[str, tuple] = {}
@@ -67,6 +115,7 @@ def _runs() -> dict[str, tuple]:
     for bonus in FLAPPING_BONUSES:
         runs[f"flapping/sticky{bonus}"] = (flapping_scenario(sticky_bonus=bonus), False)
     runs["replay/stress/dynamic:both"] = (stress_scenario(seed=1), True)
+    runs["fleet12x4/dynamic:both"] = (fleet_scenario(), False)
     return runs
 
 
