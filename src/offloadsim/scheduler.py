@@ -1,13 +1,22 @@
 """Per-robot offload scheduler.
 
 Every decision round each robot scores all known edges from its own
-gateway view, broadcasts that table to its peers, folds the freshest
-peer tables into an edge-wise sum, and proposes the edge with the
-highest combined score. Selection is damped by a sticky bonus: the
-currently selected edge gets a small additive boost, so a rival must
-beat the incumbent by more than the bonus before the robot proposes a
-switch. This hysteresis is what keeps near-tied utilities from
-flapping the task back and forth.
+gateway view, shares that table with its peers, adds the fleet's
+tables edge-wise, and proposes the edge with the highest combined
+score. Selection is damped by a sticky bonus: the currently selected
+edge gets a small additive boost, so a rival must beat the incumbent by
+more than the bonus before the robot proposes a switch. This
+hysteresis is what keeps near-tied utilities from flapping the task
+back and forth.
+
+The edge-wise sum has one implementation, ``summed_scores``: each
+robot adds its own score first and then its peers' in ascending robot
+id, with builtin ``sum``. The order decides the last bits of a sum, and
+those bits decide near-tied votes. ``fleet_proposals`` runs a round in
+which every table reaches every robot at once: each robot is scored
+once, the tables become one score column per edge, and each robot sums
+those columns in its own order. ``Scheduler.propose`` is the same vote
+for one robot against the peer tables it has observed.
 
 Staleness rules: an edge whose readings are stale (or missing) scores
 zero so it cannot win on outdated data. If every edge has gone stale
@@ -19,7 +28,8 @@ tables older than the staleness window are excluded from the sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from itertools import chain
+from typing import Mapping, Optional, Sequence
 
 from .errors import ConfigError, NoCandidatesError
 from .profiling import EdgeData
@@ -30,7 +40,6 @@ from .utility import (
     cpu_utility,
     memory_utility,
     rssi_utility,
-    sum_over_edges,
     total_utility,
 )
 
@@ -115,6 +124,32 @@ def calculate_utility(
     return table
 
 
+def score_columns(tables: Sequence[Mapping[str, float]]) -> dict[str, tuple[float, ...]]:
+    """One score column per edge, holding every table's score in table order.
+
+    Edges are the sorted union of the tables' keys; a table without an
+    edge puts 0.0 in that edge's column. Raises if no table names an edge.
+    """
+    edges = sorted(set().union(*tables))
+    if not edges:
+        raise NoCandidatesError("utility tables name no edges")
+    return {edge: tuple(table.get(edge, 0.0) for table in tables) for edge in edges}
+
+
+def summed_scores(columns: Mapping[str, Sequence[float]], index: int) -> dict[str, float]:
+    """Edge-wise sum as the table at ``index`` of the columns adds it.
+
+    That table's own score comes first, then every other score in
+    column order, added with builtin ``sum`` from 0. Keep both the order
+    and the builtin: a shared sum, ``math.fsum`` or a ``+=`` loop rounds
+    differently, and the last bits decide near-tied votes.
+    """
+    return {
+        edge: sum(chain((col[index],), col[:index], col[index + 1:]))
+        for edge, col in columns.items()
+    }
+
+
 def exchange_and_sum(
     robot_id: str,
     own_table: Mapping[str, float],
@@ -123,15 +158,14 @@ def exchange_and_sum(
     staleness_window: float,
 ) -> dict[str, float]:
     """Edge-wise sum of this robot's table and every fresh peer table."""
-    tables: dict[str, Mapping[str, float]] = {robot_id: dict(own_table)}
-    for peer_id in sorted(peers):
-        peer = peers[peer_id]
-        if peer_id == robot_id:
-            continue
-        if now - peer.received_at > staleness_window:
+    tables: dict[str, Mapping[str, float]] = {robot_id: own_table}
+    for peer_id, peer in peers.items():
+        if peer_id == robot_id or now - peer.received_at > staleness_window:
             continue
         tables[peer_id] = peer.table
-    return sum_over_edges(tables)
+    order = sorted(tables)
+    columns = score_columns([tables[rid] for rid in order])
+    return summed_scores(columns, order.index(robot_id))
 
 
 def select_max_edge(
@@ -174,13 +208,9 @@ class Scheduler:
         self.selected_edge: Optional[str] = None
         self.peers: dict[str, PeerTable] = {}
 
-    def build_table(
-        self,
-        edge_data: Mapping[str, Optional[EdgeData]],
-        now: float,
-        iteration: int,
-    ) -> UtilityTableMsg:
-        table = calculate_utility(
+    def score(self, edge_data: Mapping[str, Optional[EdgeData]]) -> dict[str, float]:
+        """This robot's table: every known edge scored from its own view."""
+        return calculate_utility(
             edge_data,
             self.task,
             self.bounds,
@@ -188,7 +218,14 @@ class Scheduler:
             selected_edge=self.selected_edge,
             sticky_bonus=self.sticky_bonus,
         )
-        scores = tuple(sorted(table.items()))
+
+    def build_table(
+        self,
+        edge_data: Mapping[str, Optional[EdgeData]],
+        now: float,
+        iteration: int,
+    ) -> UtilityTableMsg:
+        scores = tuple(sorted(self.score(edge_data).items()))
         return UtilityTableMsg(self.robot_id, iteration, scores, sent_at=now)
 
     def observe_peer(self, msg: UtilityTableMsg, received_at: float) -> None:
@@ -196,24 +233,24 @@ class Scheduler:
             return
         self.peers[msg.robot_id] = PeerTable(msg.as_dict(), received_at, msg.iteration)
 
+    def keeps_selection(self, edge_data: Mapping[str, Optional[EdgeData]]) -> bool:
+        """True when every present edge is stale and there is a selection to keep."""
+        present = [d for d in edge_data.values() if d is not None]
+        return self.selected_edge is not None and bool(present) and all(d.stale for d in present)
+
     def propose(
         self,
         edge_data: Mapping[str, Optional[EdgeData]],
         now: float,
         iteration: int,
     ) -> Proposal:
-        """Score, sum with peers, and vote for an edge.
+        """Score, sum with the fresh peer tables, and vote for an edge.
 
         With every edge stale at once the robot keeps its previous
         selection instead of voting on all-zero scores.
         """
-        present = [d for d in edge_data.values() if d is not None]
-        all_stale = bool(present) and all(d.stale for d in present)
-        own = calculate_utility(
-            edge_data, self.task, self.bounds, self.weights,
-            selected_edge=self.selected_edge, sticky_bonus=self.sticky_bonus,
-        )
-        if all_stale and self.selected_edge is not None:
+        own = self.score(edge_data)
+        if self.keeps_selection(edge_data):
             return Proposal(self.robot_id, iteration, self.selected_edge, own)
         summed = exchange_and_sum(self.robot_id, own, self.peers, now, self.peer_staleness)
         return select_max_edge(summed, self.robot_id, iteration)
@@ -222,3 +259,28 @@ class Scheduler:
         """Adopt the fleet's consensus winner as the new incumbent."""
         if winner is not None:
             self.selected_edge = winner
+
+
+def fleet_proposals(
+    schedulers: Mapping[str, Scheduler],
+    views: Mapping[str, Mapping[str, Optional[EdgeData]]],
+    iteration: int,
+) -> dict[str, Proposal]:
+    """Every robot's vote in a round where each table reaches every peer at once.
+
+    Gives each robot the proposal it would make after observing every
+    other robot's fresh table, but scores each robot once and builds the
+    score columns once for the whole fleet. Robots are scored in
+    ascending id, so the first robot whose view names no edge raises.
+    """
+    order = sorted(schedulers)
+    own = [schedulers[rid].score(views[rid]) for rid in order]
+    columns = score_columns(own)
+    proposals: dict[str, Proposal] = {}
+    for index, rid in enumerate(order):
+        sched = schedulers[rid]
+        if sched.keeps_selection(views[rid]):
+            proposals[rid] = Proposal(rid, iteration, sched.selected_edge, own[index])
+        else:
+            proposals[rid] = select_max_edge(summed_scores(columns, index), rid, iteration)
+    return proposals

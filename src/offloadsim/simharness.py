@@ -1,11 +1,13 @@
 """Deterministic discrete-event simulation of the offloading fleet.
 
 One run wires the whole pipeline together: synthetic profilers (or
-replayed trace rows) feed per-robot gateways, schedulers exchange
-utility tables and vote, every robot's executor computes the same
-consensus decision, the task moves to the winner with its waiting work
-(``apply_remap``), and the host edge executes the fleet's task messages
-under a load-dependent service law. A single priority queue orders
+replayed trace rows) feed per-robot gateways; each decision round
+scores every robot's view once, and every robot adds the fleet's
+scores in its own order and votes (``scheduler.fleet_proposals``);
+every robot's executor computes the same consensus decision, the task
+moves to the winner with its waiting work (``apply_remap``), and the
+host edge executes the fleet's task messages under a load-dependent
+service law. A single priority queue orders
 events by (time, priority, insertion sequence), so a (config, seed)
 pair fully determines every output byte.
 
@@ -47,7 +49,7 @@ from .profiling import (
     load_network_trace,
     spike_load,  # noqa: F401 - perfbench's tracer wraps simharness.spike_load
 )
-from .scheduler import Scheduler
+from .scheduler import Scheduler, fleet_proposals
 from .utility import DeviceSnapshot, NetworkSnapshot
 
 # Event priorities at equal timestamps: readings land before messages,
@@ -267,6 +269,12 @@ class Simulation:
             unknown = sorted(set(self.device_rows) - set(self.edge_ids))
             if unknown:
                 raise TraceFormatError(f"device trace names unknown edges: {unknown}")
+            robots = sorted({snap.robot_id for snap in self.net_rows} - set(self.robot_ids))
+            edges = sorted({snap.edge_id for snap in self.net_rows} - set(self.edge_ids))
+            if robots or edges:
+                raise TraceFormatError(
+                    f"network trace names unknown robots: {robots}, unknown edges: {edges}"
+                )
 
         stale_after = 3.0 * cfg.sample_period
         self.gateways = {
@@ -410,11 +418,16 @@ class Simulation:
             snap = self.profilers[eid].sample(now)
             for rid in self.robot_ids:
                 self.gateways[rid].ingest_device(snap)
+        # rssi_at reads the time from the robot's pose only, so one pose
+        # per node serves every link sampled now.
+        link = self.cfg.link
+        edge_poses = [self._pose(eid, now) for eid in self.edge_ids]
         for rid in self.robot_ids:
-            for eid in self.edge_ids:
-                rssi = self._link_rssi(rid, eid, now)
-                snap = NetworkSnapshot(rid, eid, now, rssi)
-                self.gateways[rid].ingest_network(snap)
+            gateway = self.gateways[rid]
+            robot_pose = self._pose(rid, now)
+            for eid, edge_pose in zip(self.edge_ids, edge_poses):
+                rssi = rssi_at(link, robot_pose, edge_pose)
+                gateway.ingest_network(NetworkSnapshot(rid, eid, now, rssi))
 
     def _on_trace_device(self, snap: DeviceSnapshot) -> None:
         self._trace_cpu[snap.edge_id] = snap.cpu_used
@@ -422,8 +435,6 @@ class Simulation:
             self.gateways[rid].ingest_device(snap)
 
     def _on_trace_net(self, snap: NetworkSnapshot) -> None:
-        if snap.robot_id not in self.gateways:
-            return
         self._trace_rssi[(snap.robot_id, snap.edge_id)] = snap.rssi
         self.gateways[snap.robot_id].ingest_network(snap)
 
@@ -493,17 +504,9 @@ class Simulation:
         iteration = self.iteration
         self.iteration += 1
         views = {rid: self.gateways[rid].collect(now) for rid in self.robot_ids}
-        tables = {
-            rid: self.schedulers[rid].build_table(views[rid], now, iteration)
-            for rid in self.robot_ids
-        }
-        for rid in self.robot_ids:
-            for peer in self.robot_ids:
-                if peer != rid:
-                    self.schedulers[rid].observe_peer(tables[peer], received_at=now)
         proposals = {
-            rid: self.schedulers[rid].propose(views[rid], now, iteration).max_edge
-            for rid in self.robot_ids
+            rid: proposal.max_edge
+            for rid, proposal in fleet_proposals(self.schedulers, views, iteration).items()
         }
         results = {
             rid: self.executors[rid].on_proposals(proposals, iteration)

@@ -192,7 +192,9 @@ def sum_over_edges(tables: Mapping[str, Mapping[str, float]]) -> dict[str, float
     ``tables`` maps robot id to that robot's edge->score table. The
     result covers the union of all edges seen; a robot missing an entry
     contributes 0 for that edge. Keys come back sorted so downstream
-    iteration order is deterministic.
+    iteration order is deterministic. The scheduler adds with
+    ``scheduler.summed_scores``; this is the reference its tests compare
+    the scheduler's sums against.
     """
     if not tables:
         raise NoCandidatesError("no utility tables to sum")

@@ -205,6 +205,17 @@ def test_replay_with_out_of_range_reading_reports_file_and_line(tmp_path, capsys
     assert f"{broken}:3: " in err
 
 
+def test_replay_with_unknown_robot_in_network_trace_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    dump_config(tiny_config(), cfg_path)
+    dev, net = write_flat_traces(tmp_path)
+    with open(net, "a", encoding="utf-8") as fh:
+        fh.write("5.0,r7,e1,-55\n")
+    assert main(["replay", "--config", str(cfg_path), "--device-trace", dev,
+                 "--net-trace", net]) == 1
+    assert "unknown robots: ['r7']" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- renderers
 
 def test_renderers_are_deterministic_functions_of_the_report():

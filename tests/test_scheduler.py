@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from offloadsim.errors import ConfigError, NoCandidatesError
 from offloadsim.profiling import EdgeData
 from offloadsim.scheduler import (
     PeerTable,
+    Proposal,
     Scheduler,
     UtilityTableMsg,
     calculate_utility,
     exchange_and_sum,
+    fleet_proposals,
     select_max_edge,
     validate_sticky_bonus,
 )
@@ -24,6 +26,7 @@ from offloadsim.utility import (
     TaskSpec,
     Weights,
     cpu_utility,
+    sum_over_edges,
 )
 
 TOL = 1e-12
@@ -216,3 +219,98 @@ def test_select_max_edge_matches_bruteforce(scores):
     best = max(scores.values())
     expected = sorted(e for e, s in scores.items() if s == best)[0]
     assert got == expected
+
+
+# ------------------------------------------------------------ fleet round
+
+@st.composite
+def fleet_rounds(draw):
+    """Views, incumbents and bonus for up to 8 robots over up to 5 edges.
+
+    CPU-only weights make every fresh score a multiple of 0.1 (plus the
+    bonus on the incumbent), so exact ties are common and the order of
+    the additions changes the rounding of the sums. Most readings are
+    fresh, some stale or absent, and about one robot in four has every
+    present edge stale.
+    """
+    n_robots = draw(st.integers(min_value=1, max_value=8))
+    edges = [f"e{j}" for j in range(1, draw(st.integers(min_value=1, max_value=5)) + 1)]
+    bonus = draw(st.sampled_from([0.0, 0.05, 0.1]))
+    reading = st.tuples(
+        st.integers(min_value=0, max_value=10),
+        st.sampled_from(["fresh", "fresh", "fresh", "stale", "absent"]),
+    )
+    robots = {}
+    for i in range(1, n_robots + 1):
+        rid = f"r{i}"
+        all_stale = draw(st.integers(min_value=0, max_value=3)) == 3
+        view = {}
+        for edge_id in edges:
+            tenths, state = draw(reading)
+            if state == "absent":
+                view[edge_id] = None
+            else:
+                stale = all_stale or state == "stale"
+                view[edge_id] = edge_view(edge_id, 10.0 * (10 - tenths), stale=stale, robot_id=rid)
+        robots[rid] = (view, draw(st.sampled_from([None, *edges])))
+    return robots, bonus
+
+
+def fleet_schedulers(robots, bonus):
+    scheds = {}
+    for rid, (_, incumbent) in robots.items():
+        scheds[rid] = scheduler(rid, h=bonus)
+        scheds[rid].commit(incumbent)
+    return scheds
+
+
+def reference_proposals(robots, bonus, now, iteration):
+    """Each robot's proposal as the round ran before ``fleet_proposals``.
+
+    Every robot builds and broadcasts its table and observes every
+    peer's; each then adds its own table first and the peers' in
+    ascending id with ``sum_over_edges`` and takes the highest sum,
+    exact ties to the smallest edge id. A robot whose present edges are
+    all stale keeps its incumbent. Returns the proposals and the
+    schedulers, which hold every peer's table.
+    """
+    scheds = fleet_schedulers(robots, bonus)
+    tables = {rid: scheds[rid].build_table(robots[rid][0], now, iteration) for rid in scheds}
+    proposals = {}
+    for rid, sched in scheds.items():
+        for peer in sorted(scheds):
+            sched.observe_peer(tables[peer], received_at=now)
+        own = tables[rid].as_dict()
+        present = [d for d in robots[rid][0].values() if d is not None]
+        if sched.selected_edge is not None and present and all(d.stale for d in present):
+            proposals[rid] = Proposal(rid, iteration, sched.selected_edge, own)
+            continue
+        ordered = {rid: own}
+        ordered.update((p, sched.peers[p].table) for p in sorted(sched.peers))
+        summed = sum_over_edges(ordered)
+        best = max(summed.values())
+        winner = min(e for e, v in summed.items() if v == best)
+        proposals[rid] = Proposal(rid, iteration, winner, summed)
+    return proposals, scheds
+
+
+@settings(max_examples=300)
+@given(fleet_rounds())
+@example(({"r1": ({"e1": None}, None), "r2": ({"e1": edge_view("e1", 50.0)}, None)}, 0.0))
+def test_fleet_round_matches_table_exchange(round_):
+    robots, bonus = round_
+    now, iteration = 10.0, 4
+    try:
+        expected, observed = reference_proposals(robots, bonus, now, iteration)
+    except NoCandidatesError:
+        expected = None
+    scheds = fleet_schedulers(robots, bonus)
+    views = {rid: view for rid, (view, _) in robots.items()}
+    if expected is None:
+        with pytest.raises(NoCandidatesError):
+            fleet_proposals(scheds, views, iteration)
+        return
+    # Proposals compare their summed tables with ==, so every bit counts.
+    assert fleet_proposals(scheds, views, iteration) == expected
+    proposed = {rid: sched.propose(views[rid], now, iteration) for rid, sched in observed.items()}
+    assert proposed == expected

@@ -1,5 +1,6 @@
 """Discrete-event harness: execution law, accounting, and comparisons."""
 
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from offloadsim.config import (
     ScenarioConfig,
     SpikeModel,
 )
-from offloadsim import simharness
+from offloadsim import scheduler, simharness
 from offloadsim.errors import ConfigError, TraceFormatError
 from offloadsim.scenarios import stress_scenario
 from offloadsim.simharness import (
@@ -246,6 +247,23 @@ def test_switch_count_matches_decision_log(monkeypatch):
     assert all(src != dst for src, dst in moves)
 
 
+def test_each_robot_is_scored_once_per_decision_round(monkeypatch):
+    calls = []
+    calculate_utility = scheduler.calculate_utility
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return calculate_utility(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "calculate_utility", counting)
+    cfg = replace(stress_scenario(seed=2, scheme="dynamic:both"),
+                  duration=60.0, nominal_duration=None)
+    sim = Simulation(cfg)
+    report = sim.run()
+    assert report.decisions
+    assert len(calls) == len(sim.robot_ids) * len(report.decisions)
+
+
 def _readings_held(obj) -> Counter:
     """Count the device and network readings reachable from obj's attributes."""
     held: Counter = Counter()
@@ -408,6 +426,20 @@ def test_replay_rejects_unknown_edges(tmp_path):
         ["0.0,r1,e1,-50\n"],
     )
     with pytest.raises(TraceFormatError, match="unknown edges"):
+        Simulation(replay_config(), device_trace=dev, net_trace=net)
+
+
+@pytest.mark.parametrize(
+    "net_row, named",
+    [("0.0,r7,e1,-50\n", "robots: ['r7']"), ("0.0,r1,e9,-50\n", "edges: ['e9']")],
+)
+def test_replay_rejects_network_rows_for_unknown_robots_or_edges(tmp_path, net_row, named):
+    dev, net = write_traces(
+        tmp_path,
+        ["0.0,e1,100,10,4096,500\n"],
+        ["0.0,r1,e1,-50\n", net_row],
+    )
+    with pytest.raises(TraceFormatError, match=re.escape(f"unknown {named}")):
         Simulation(replay_config(), device_trace=dev, net_trace=net)
 
 
