@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from offloadsim.cli import render_decisions_csv, render_metrics_csv
-from offloadsim.config import EdgeSpec, RobotSpec, ScenarioConfig, SpikeModel
+from offloadsim.config import EdgeSpec, ExecModel, RobotSpec, ScenarioConfig, SpikeModel
 from offloadsim.netsim import LinkModel
 from offloadsim.scenarios import flapping_scenario, stress_scenario
 from offloadsim.simharness import default_schemes, run_scenario
@@ -39,6 +39,13 @@ REPLAY_SECONDS = 90
 FLEET_SITES = {"e1": (0.0, 0.0), "e2": (100.0, 0.0), "e3": (0.0, 100.0), "e4": (100.0, 100.0)}
 FLEET_ROBOT_SITES = ("e2", "e1", "e1", "e2", "e4", "e2", "e1", "e1", "e4", "e1", "e2", "e2")
 FLEET_SEED = 3
+
+# The mixed-rate pin: robots sending at different rates, one of which
+# drives out of radio range and back, so sends from different robots
+# interleave on the event queue and some messages drop.
+MIXED_RATES = (0.5, 1.0, 2.0, 3.0)
+MIXED_SCHEMES = ("dynamic:both", "fixed:e1")
+MIXED_SEED = 2
 
 
 def write_replay_fixture(directory: Path) -> tuple[str, str]:
@@ -105,6 +112,45 @@ def fleet_scenario() -> ScenarioConfig:
     )
 
 
+def mixed_scenario() -> ScenarioConfig:
+    """Four robots at 0.5/1/2/3 msg/s and three edges over 90 s.
+
+    r4 drives about 260 m away between 25 s and 70 s, well below the
+    -85 dBm floor, so its messages drop while it is out there; shadowing
+    is on. Robots stop sending at 75 s.
+    """
+    robots = (
+        RobotSpec("r1", x=0.0, y=0.0, input_rate=MIXED_RATES[0]),
+        RobotSpec("r2", x=8.0, y=0.0, input_rate=MIXED_RATES[1]),
+        RobotSpec("r3", x=0.0, y=8.0, input_rate=MIXED_RATES[2]),
+        RobotSpec("r4", input_rate=MIXED_RATES[3],
+                  waypoints=((0.0, 4.0, 4.0), (25.0, 4.0, 4.0), (40.0, 260.0, 4.0),
+                             (55.0, 260.0, 4.0), (70.0, 4.0, 4.0))),
+    )
+    edges = (
+        EdgeSpec("e1", x=4.0, y=4.0, base_cpu=25.0, base_mem=1800.0, capacity_factor=0.5),
+        EdgeSpec("e2", x=10.0, y=4.0, base_cpu=20.0, base_mem=1000.0),
+        EdgeSpec("e3", x=4.0, y=10.0, base_cpu=20.0, base_mem=1000.0),
+    )
+    return ScenarioConfig(
+        name="mixed-4x3",
+        robots=robots,
+        edges=edges,
+        task=TaskSpec("merge", mem_footprint=512.0, input_rate=1.0, work_per_message=80.0),
+        link=LinkModel(shadow_sigma=4.0),
+        spike_model=SpikeModel(
+            rate=0.05,
+            cpu_range=(50.0, 70.0),
+            mem_range=(800.0, 1600.0),
+            duration_range=(10.0, 30.0),
+        ),
+        exec_model=ExecModel(cpu_per_message=4.0, task_cpu_cap=40.0),
+        duration=90.0,
+        nominal_duration=75.0,
+        seed=MIXED_SEED,
+    )
+
+
 def _runs() -> dict[str, tuple]:
     """Every pinned run by name: (config, replays traces)."""
     runs: dict[str, tuple] = {}
@@ -116,6 +162,8 @@ def _runs() -> dict[str, tuple]:
         runs[f"flapping/sticky{bonus}"] = (flapping_scenario(sticky_bonus=bonus), False)
     runs["replay/stress/dynamic:both"] = (stress_scenario(seed=1), True)
     runs["fleet12x4/dynamic:both"] = (fleet_scenario(), False)
+    for scheme in MIXED_SCHEMES:
+        runs[f"mixed4x3/{scheme}"] = (replace(mixed_scenario(), scheme=scheme), False)
     return runs
 
 
