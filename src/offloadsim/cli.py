@@ -185,7 +185,8 @@ def default_output_name(cfg: ScenarioConfig, suffix: str = "") -> str:
     return f"runs/{cfg.name}-{scheme}-s{cfg.seed}{tail}"
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _load_overridden(args: argparse.Namespace) -> ScenarioConfig:
+    """The config file with the ``--seed`` and ``--scheme`` flags applied."""
     cfg = load_config(args.config)
     overrides = {}
     if args.seed is not None:
@@ -193,8 +194,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.scheme is not None:
         overrides["scheme"] = args.scheme
         overrides["weights"] = None  # scheme override re-selects its preset
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    return replace(cfg, **overrides) if overrides else cfg
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    cfg = _load_overridden(args)
     report = run_scenario(cfg)
     out_dir = Path(args.out or default_output_name(cfg))
     write_run_outputs(report, cfg, out_dir)
@@ -231,7 +235,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_overridden(args)
     report = run_scenario(cfg, device_trace=args.device_trace, net_trace=args.net_trace)
     out_dir = Path(args.out or default_output_name(cfg, suffix="replay"))
     write_run_outputs(report, cfg, out_dir)
@@ -272,6 +276,8 @@ def build_parser() -> _Parser:
     rep_p.add_argument("--config", required=True, help="scenario YAML file")
     rep_p.add_argument("--device-trace", required=True, help="device readings CSV")
     rep_p.add_argument("--net-trace", required=True, help="RSSI readings CSV")
+    rep_p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    rep_p.add_argument("--scheme", default=None, help="override the config scheme")
     rep_p.add_argument("--out", default=None, help="output directory")
     rep_p.add_argument("--verbose", action="store_true", help="print the summary too")
 

@@ -17,9 +17,20 @@ queues its successor a period later while that stays inside the
 horizon. Each periodic kind has a priority of its own (``sample``
 shares one only with replayed trace rows, which never run alongside
 it), so this orders events exactly as queuing the whole series up
-front would. Message sends and replayed trace rows are still queued
-up front. Spike load is read from each device profile's step table
-(``SpikeTable``) rather than summed over every spike on each call.
+front would. Message sends are queued one ahead per robot as well:
+each send keeps the insertion sequence number it would have had if
+every send were queued up front (robot blocks in ascending id, right
+after the first periodic events), so sends tie-break against arrivals
+exactly as before and the queue holds at most one send per robot.
+Replayed trace rows are still queued up front.
+
+The loop does only work whose result is read. Only the hosting edge
+holds work, so an exec tick advances the host alone (an idle edge is a
+fixed point of ``edge_execute``) and nothing before the first
+placement. Only the decision round reads the gateways, so synthetic
+``sample`` readings are taken under dynamic schemes only. Spike load is
+read from each device profile's step table (``SpikeTable``) rather than
+summed over every spike on each call.
 
 Scheme semantics: ``fixed:<edge>`` pins the task to one edge and runs
 no scheduler at all; ``dynamic:<variant>`` runs the full decision
@@ -102,7 +113,6 @@ class EdgeExecState:
     task_cpu: float = 0.0
     rate_ema: float = 0.0
     hosting: bool = False
-    processed_total: int = 0
     merged_total: int = 0
 
     @property
@@ -144,7 +154,6 @@ def edge_execute(
         for rid in state.merge_credits:
             state.merge_credits[rid] -= merges
         state.merged_total += merges
-    state.processed_total += processed
     return processed, merges
 
 
@@ -340,8 +349,11 @@ class Simulation:
 
     # ------------------------------------------------------------ plumbing
 
-    def _push(self, t: float, prio: int, kind: str, payload=None) -> None:
-        heapq.heappush(self._heap, (t, prio, next(self._seq), kind, payload))
+    def _push(self, t: float, prio: int, kind: str, payload=None,
+              seq: Optional[int] = None) -> None:
+        if seq is None:
+            seq = next(self._seq)
+        heapq.heappush(self._heap, (t, prio, seq, kind, payload))
 
     def _schedule_initial_events(self) -> None:
         cfg = self.cfg
@@ -359,7 +371,7 @@ class Simulation:
                     self._push(snap.t, P_SAMPLE, "trace_net", snap)
         tick = cfg.exec_model.exec_tick
         periodic = []  # (first time, priority, kind, period); run() queues the rest
-        if not self.replay:
+        if self.dynamic and not self.replay:
             periodic.append((0.0, P_SAMPLE, "sample", cfg.sample_period))
         periodic.append((tick, P_EXEC, "exec", tick))
         if self.dynamic:
@@ -370,12 +382,20 @@ class Simulation:
             self._periods[kind] = period
             if t <= self._effective_duration:
                 self._push(t, prio, kind)
+        # Send k of a robot takes sequence number seq0 + k - 1: the
+        # number it would get if every send were queued here, robot by
+        # robot. _on_send queues the next one when it handles a send.
+        self._sends: dict[str, tuple[float, int, int]] = {}  # rid -> (rate, quota, seq0)
+        seq0 = next(self._seq)
         for rid in self.robot_ids:
             spec = self.robots[rid]
             rate = cfg.input_rate_of(spec)
-            for k in range(1, cfg.message_quota(spec) + 1):
-                when = k / rate
-                self._push(when, P_ARRIVAL, "send", (rid, k))
+            quota = cfg.message_quota(spec)
+            self._sends[rid] = (rate, quota, seq0)
+            if quota > 0:
+                self._push(1 / rate, P_ARRIVAL, "send", (rid, 1), seq=seq0)
+            seq0 += quota
+        self._seq = itertools.count(seq0)
 
     def _pose(self, node_id: str, now: float) -> NodePose:
         if node_id in self.robots:
@@ -439,6 +459,9 @@ class Simulation:
         self.gateways[snap.robot_id].ingest_network(snap)
 
     def _on_send(self, now: float, robot_id: str, k: int) -> None:
+        rate, quota, seq0 = self._sends[robot_id]
+        if k < quota:
+            self._push((k + 1) / rate, P_ARRIVAL, "send", (robot_id, k + 1), seq=seq0 + k)
         msg = Message(
             src=robot_id,
             dst=self.host or "?",
@@ -477,13 +500,18 @@ class Simulation:
         self.total_bits[host] += bits
 
     def _on_exec(self, now: float) -> None:
-        dt = self.cfg.exec_model.exec_tick
-        em = self.cfg.exec_model
-        for eid in self.edge_ids:
-            st = self.exec_states[eid]
-            cpu_used, _ = self._true_load(eid, now)
-            processed, _ = edge_execute(st, cpu_used, dt, self.reference_rate)
+        # Only the host holds work: arrivals land on it and apply_remap
+        # zeroes the old host, and on an all-zero edge a tick changes
+        # nothing. So the host alone is advanced, once there is one.
+        host = self.host
+        if host is not None:
+            em = self.cfg.exec_model
+            dt = em.exec_tick
+            st = self.exec_states[host]
+            cpu_used, _ = self._true_load(host, now)
+            processed, merges = edge_execute(st, cpu_used, dt, self.reference_rate)
             self.processed += processed
+            self.merged_total += merges
             # Processing consumes CPU in proportion to throughput:
             # cpu_per_message is percentage-seconds per message, and a
             # weaker machine (low capacity factor) spends more of
@@ -497,7 +525,6 @@ class Simulation:
                 em.task_cpu_cap,
                 em.cpu_per_message * st.rate_ema / st.capacity_factor,
             )
-        self.merged_total = sum(s.merged_total for s in self.exec_states.values())
         self._check_completion(now)
 
     def _on_decision(self, now: float) -> None:

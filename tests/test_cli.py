@@ -1,6 +1,7 @@
 """Command-line contract: outputs, overrides, and exit codes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 import yaml
@@ -12,6 +13,7 @@ from offloadsim.config import (
     ScenarioConfig,
     config_to_dict,
     dump_config,
+    load_config,
 )
 from offloadsim.netsim import LinkModel
 from offloadsim.simharness import run_scenario
@@ -175,6 +177,33 @@ def test_replay_flat_rssi_with_net_weights_never_switches(tmp_path, capsys):
     winners = {line.split(",")[1] for line in rows}
     assert len(winners) == 1  # constant utilities pin the first winner
     assert all(line.endswith(",false") for line in rows)
+
+
+def test_replay_seed_and_scheme_flags_override_the_config(tmp_path, capsys):
+    cfg = tiny_config(weights=Weights(0.0, 0.0, 1.0), duration=30.0)
+    cfg_path = tmp_path / "cfg.yaml"
+    dump_config(cfg, cfg_path)
+    dev, net = write_flat_traces(tmp_path)
+    out = tmp_path / "replayed"
+    assert main(["replay", "--config", str(cfg_path), "--device-trace", dev,
+                 "--net-trace", net, "--scheme", "fixed:e2", "--seed", "9",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    expected = run_scenario(replace(cfg, scheme="fixed:e2", seed=9, weights=None), dev, net)
+    assert (out / "metrics.csv").read_text(encoding="utf-8") == render_metrics_csv(expected)
+    assert (out / "decisions.csv").read_text(encoding="utf-8") == render_decisions_csv(expected)
+    assert load_config(out / "config.yaml") == replace(
+        cfg, scheme="fixed:e2", seed=9, weights=None)
+
+
+def test_replay_with_unknown_scheme_exits_one(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    dump_config(tiny_config(), cfg_path)
+    dev, net = write_flat_traces(tmp_path)
+    assert main(["replay", "--config", str(cfg_path), "--device-trace", dev,
+                 "--net-trace", net, "--scheme", "fixed:e9",
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "fixed edge 'e9'" in capsys.readouterr().err
 
 
 def test_replay_with_malformed_row_reports_file_and_line(tmp_path, capsys):

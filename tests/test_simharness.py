@@ -352,10 +352,16 @@ def _period_count(first: float, period: float, horizon: float) -> int:
 def test_periodic_events_are_queued_one_ahead():
     cfg = replace(stress_scenario(seed=1, scheme="dynamic:both"),
                   duration=60.0, nominal_duration=None)
+    silent = replace(cfg.robots[1], input_rate=0.0)
+    cfg = replace(cfg, robots=(cfg.robots[0], silent, cfg.robots[2]))
     sim = Simulation(cfg)
     kinds = Counter(entry[3] for entry in sim._heap)
-    assert kinds == {"send": cfg.total_quota(), "sample": 1, "exec": 1,
+    senders = [r for r in cfg.robots if cfg.message_quota(r) > 0]
+    assert kinds == {"send": len(senders), "sample": 1, "exec": 1,
                      "decision": 1, "metrics": 1}
+    assert sorted(entry[4] for entry in sim._heap if entry[3] == "send") == [
+        (r.robot_id, 1) for r in senders
+    ]
 
     handled: Counter[str] = Counter()
     for kind in ("exec", "decision", "metrics"):
@@ -375,6 +381,68 @@ def test_periodic_events_are_queued_one_ahead():
         "metrics": _period_count(0.0, cfg.sample_period, cfg.duration),
     }
     assert len(report.timeseries) == handled["metrics"]
+
+
+def test_fixed_scheme_takes_no_samples():
+    # Only the decision round reads the gateways, and a fixed scheme has none.
+    sim = Simulation(replace(stress_scenario(seed=1, scheme="fixed:e2"),
+                             duration=60.0, nominal_duration=None))
+    sampled = []
+    on_sample = sim._on_sample
+    sim._on_sample = lambda now: (sampled.append(now), on_sample(now))
+    sim.run()
+    assert sampled == []
+    for gateway in sim.gateways.values():
+        assert _readings_held(gateway) == Counter()
+
+
+def test_only_the_host_is_advanced_and_only_once_placed(monkeypatch):
+    cfg = replace(stress_scenario(seed=1, scheme="dynamic:both"),
+                  duration=60.0, nominal_duration=None)
+    sim = Simulation(cfg)
+    ticks = []  # (time, host) of every exec tick
+    advanced = []  # (tick index, edge) of every edge_execute call
+    on_exec = sim._on_exec
+
+    def exec_tick(now):
+        ticks.append((now, sim.host))
+        on_exec(now)
+
+    sim._on_exec = exec_tick
+    execute = simharness.edge_execute
+
+    def recording(state, *args):
+        advanced.append((len(ticks) - 1, state.edge_id))
+        return execute(state, *args)
+
+    monkeypatch.setattr(simharness, "edge_execute", recording)
+    sim.run()
+    hosted = [(i, host) for i, (_, host) in enumerate(ticks) if host is not None]
+    # Exec ticks every 0.1 s start before the first decision round at 1 s.
+    assert ticks[0][1] is None and hosted
+    assert advanced == hosted
+
+
+def _peak_queue_length(cfg: ScenarioConfig) -> int:
+    sim = Simulation(cfg)
+    peak = len(sim._heap)
+    push = sim._push
+
+    def tracking(*args, **kwargs):
+        nonlocal peak
+        push(*args, **kwargs)
+        peak = max(peak, len(sim._heap))
+
+    sim._push = tracking
+    sim.run()
+    return peak
+
+
+def test_event_queue_is_bounded_by_the_fleet_not_the_horizon():
+    cfg = replace(stress_scenario(seed=1, scheme="dynamic:both"), nominal_duration=None)
+    assert _peak_queue_length(replace(cfg, duration=600.0)) == _peak_queue_length(
+        replace(cfg, duration=3600.0)
+    )
 
 
 def test_simulation_shares_one_spike_table_per_edge():
