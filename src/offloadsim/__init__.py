@@ -59,7 +59,6 @@ from .utility import (
     cpu_utility,
     memory_utility,
     rssi_utility,
-    sum_over_edges,
     total_utility,
 )
 
@@ -115,7 +114,6 @@ __all__ = [
     "rssi_utility",
     "run_scenario",
     "select_max_edge",
-    "sum_over_edges",
     "throughput_of",
     "total_utility",
 ]

@@ -1,11 +1,12 @@
-"""Resource profilers and per-robot gateways.
+"""Resource profilers and the fleet's reading store.
 
 Each edge device is watched by a profiler that emits periodic
 ``DeviceSnapshot`` readings; each robot additionally measures the RSSI
-of its own links. A per-robot gateway caches the freshest reading per
-edge and reports its age, flagging data stale once it is older than
-three sample periods. Staleness policy (what to do about a stale edge)
-belongs to the scheduler; the gateway only reports it.
+of its own links. The ``Gateway`` is the fleet's one store: it keeps
+the latest device reading per edge and the latest link reading per
+(robot, edge) pair, and flags a pair stale once its older reading is
+more than three sample periods old. Staleness policy (what to do about
+a stale edge) belongs to the scheduler; the store only reports it.
 
 Readings come either from a seeded synthetic generator, in which load
 is base plus any active spikes plus bounded measurement noise, or from
@@ -24,7 +25,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigError, InvalidSnapshotError, TraceFormatError
 from .utility import DeviceSnapshot, NetworkSnapshot
@@ -154,78 +155,85 @@ def _parse_float(raw: str, path: str, lineno: int, column: str) -> float:
         raise TraceFormatError(f"{path}:{lineno}: bad value {raw!r} for {column}") from None
 
 
-def _parse_time(raw: str, path: str, lineno: int) -> float:
-    t = _parse_float(raw, path, lineno, "t")
-    if not math.isfinite(t):
-        raise TraceFormatError(f"{path}:{lineno}: t must be finite, got {raw!r}")
-    return t
+def _trace_rows(path: str, header: list[str]) -> Iterator[tuple[int, float, list[str]]]:
+    """Yield (line, t, fields) for each row of a trace CSV.
+
+    Checks the UTF-8 encoding, the header, the field count, that ``t``
+    is finite and that it never decreases from one row to the next;
+    every failure names ``path:line``.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            got = next(reader, None)
+            if got != header:
+                raise TraceFormatError(
+                    f"{path}:1: expected header {','.join(header)}, got {got}")
+            previous = -math.inf
+            for row in reader:
+                lineno = reader.line_num
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                t = _parse_float(row[0], path, lineno, "t")
+                if not math.isfinite(t):
+                    raise TraceFormatError(f"{path}:{lineno}: t must be finite, got {row[0]!r}")
+                if t < previous:
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: t {row[0]} is earlier than the row before it")
+                previous = t
+                yield lineno, t, row
+        except UnicodeDecodeError:
+            # The error's offset counts from the start of one decoded
+            # chunk, so decode the whole file again to find the line.
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                lineno = data.count(b"\n", 0, exc.start) + 1
+                raise TraceFormatError(f"{path}:{lineno}: not valid UTF-8") from None
+            raise
 
 
 def load_device_trace(path: str | Path) -> dict[str, list[DeviceSnapshot]]:
     """Read a device trace CSV into per-edge snapshot lists (file order).
 
-    The header must be exactly ``t,edge_id,cpu_max,cpu_used,mem_max,mem_used``.
+    The header must be exactly ``t,edge_id,cpu_max,cpu_used,mem_max,mem_used``
+    and the rows must be in time order.
     """
     path = str(path)
     out: dict[str, list[DeviceSnapshot]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != DEVICE_TRACE_HEADER:
-            raise TraceFormatError(
-                f"{path}:1: expected header {','.join(DEVICE_TRACE_HEADER)}, got {header}"
+    for lineno, t, row in _trace_rows(path, DEVICE_TRACE_HEADER):
+        try:
+            snap = DeviceSnapshot(
+                row[1], t,
+                _parse_float(row[2], path, lineno, "cpu_max"),
+                _parse_float(row[3], path, lineno, "cpu_used"),
+                _parse_float(row[4], path, lineno, "mem_max"),
+                _parse_float(row[5], path, lineno, "mem_used"),
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(DEVICE_TRACE_HEADER):
-                raise TraceFormatError(f"{path}:{lineno}: expected {len(DEVICE_TRACE_HEADER)} fields, got {len(row)}")
-            t = _parse_time(row[0], path, lineno)
-            edge_id = row[1]
-            try:
-                snap = DeviceSnapshot(
-                    edge_id=edge_id,
-                    t=t,
-                    cpu_max=_parse_float(row[2], path, lineno, "cpu_max"),
-                    cpu_used=_parse_float(row[3], path, lineno, "cpu_used"),
-                    mem_max=_parse_float(row[4], path, lineno, "mem_max"),
-                    mem_used=_parse_float(row[5], path, lineno, "mem_used"),
-                )
-            except InvalidSnapshotError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
-            out.setdefault(edge_id, []).append(snap)
+        except InvalidSnapshotError as exc:
+            raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+        out.setdefault(snap.edge_id, []).append(snap)
     return out
 
 
 def load_network_trace(path: str | Path) -> list[NetworkSnapshot]:
     """Read a network trace CSV into a snapshot list (file order).
 
-    The header must be exactly ``t,robot_id,edge_id,rssi``.
+    The header must be exactly ``t,robot_id,edge_id,rssi`` and the rows
+    must be in time order.
     """
     path = str(path)
     out: list[NetworkSnapshot] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != NETWORK_TRACE_HEADER:
-            raise TraceFormatError(
-                f"{path}:1: expected header {','.join(NETWORK_TRACE_HEADER)}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(NETWORK_TRACE_HEADER):
-                raise TraceFormatError(f"{path}:{lineno}: expected {len(NETWORK_TRACE_HEADER)} fields, got {len(row)}")
-            try:
-                snap = NetworkSnapshot(
-                    robot_id=row[1],
-                    edge_id=row[2],
-                    t=_parse_time(row[0], path, lineno),
-                    rssi=_parse_float(row[3], path, lineno, "rssi"),
-                )
-            except InvalidSnapshotError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
-            out.append(snap)
+    for lineno, t, row in _trace_rows(path, NETWORK_TRACE_HEADER):
+        try:
+            out.append(NetworkSnapshot(row[1], row[2], t,
+                                       _parse_float(row[3], path, lineno, "rssi")))
+        except InvalidSnapshotError as exc:
+            raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -233,7 +241,7 @@ def load_network_trace(path: str | Path) -> list[NetworkSnapshot]:
 
 @dataclass(frozen=True)
 class EdgeData:
-    """The gateway's current view of one edge, with reading ages."""
+    """One robot's view of one edge, with reading ages."""
 
     edge_id: str
     device: Optional[DeviceSnapshot]
@@ -243,46 +251,61 @@ class EdgeData:
     stale: bool
 
 
-class Gateway:
-    """Per-robot cache of the freshest profiler readings.
+@dataclass(frozen=True)
+class FleetView:
+    """The store's readings at one instant, every row aligned with ``edge_ids``.
 
-    Readings arrive in time order and none is later than the ``now``
-    of the next ``collect``, so the gateway keeps only the latest
-    device and network reading per edge. Device snapshots are shared
-    fleet-wide; network snapshots are only accepted for this robot's
-    own links. ``collect`` reports every known edge, with None
-    standing in for edges never heard from.
+    None stands for a reading never received; ``stale[robot]`` flags
+    each of that robot's (robot, edge) pairs.
     """
 
-    def __init__(self, robot_id: str, edge_ids: Iterable[str], stale_after: float) -> None:
+    edge_ids: tuple[str, ...]
+    devices: tuple[Optional[DeviceSnapshot], ...]
+    links: dict[str, tuple[Optional[NetworkSnapshot], ...]]
+    stale: dict[str, tuple[bool, ...]]
+
+
+class Gateway:
+    """The fleet's one store of the latest profiler readings.
+
+    A device reading is the same for every robot, so ``devices`` keeps
+    the latest one per edge; ``links[robot][edge]`` keeps the latest
+    reading of each link. Readings arrive in time order, none later than
+    the next ``collect``; readings naming an unknown id are ignored.
+    Staleness is decided here alone: a pair is stale once its older
+    reading is more than ``stale_after`` old, a missing one infinitely.
+    """
+
+    def __init__(self, robot_ids: Iterable[str], edge_ids: Iterable[str],
+                 stale_after: float) -> None:
         if stale_after <= 0.0:
             raise ConfigError(f"stale_after must be positive, got {stale_after}")
-        self.robot_id = robot_id
         self.stale_after = stale_after
-        self._device: dict[str, Optional[DeviceSnapshot]] = {e: None for e in edge_ids}
-        self._network: dict[str, Optional[NetworkSnapshot]] = {e: None for e in edge_ids}
+        self.edge_ids = tuple(sorted(edge_ids))
+        self.devices: dict[str, Optional[DeviceSnapshot]] = {e: None for e in self.edge_ids}
+        self.links: dict[str, dict[str, Optional[NetworkSnapshot]]] = {
+            r: {e: None for e in self.edge_ids} for r in sorted(robot_ids)
+        }
 
     def ingest_device(self, snap: DeviceSnapshot) -> None:
-        if snap.edge_id in self._device:
-            self._device[snap.edge_id] = snap
+        if snap.edge_id in self.devices:
+            self.devices[snap.edge_id] = snap
 
     def ingest_network(self, snap: NetworkSnapshot) -> None:
-        if snap.robot_id != self.robot_id:
-            return
-        if snap.edge_id in self._network:
-            self._network[snap.edge_id] = snap
+        links = self.links.get(snap.robot_id)
+        if links is not None and snap.edge_id in links:
+            links[snap.edge_id] = snap
 
-    def collect(self, now: float) -> dict[str, Optional[EdgeData]]:
-        """Freshest view per edge at time ``now``, oldest reading decides staleness."""
-        view: dict[str, Optional[EdgeData]] = {}
-        for edge_id in sorted(self._device):
-            device = self._device[edge_id]
-            network = self._network[edge_id]
-            if device is None and network is None:
-                view[edge_id] = None
-                continue
-            device_age = now - device.t if device is not None else float("inf")
-            network_age = now - network.t if network is not None else float("inf")
-            stale = max(device_age, network_age) > self.stale_after
-            view[edge_id] = EdgeData(edge_id, device, network, device_age, network_age, stale)
-        return view
+    def collect(self, now: float) -> FleetView:
+        """Every reading held at time ``now``, with each pair's staleness."""
+        inf = float("inf")
+        stale_after = self.stale_after
+        devices = tuple(self.devices.values())
+        device_ages = [inf if d is None else now - d.t for d in devices]
+        links = {robot_id: tuple(row.values()) for robot_id, row in self.links.items()}
+        stale = {
+            robot_id: tuple(max(device_age, inf if n is None else now - n.t) > stale_after
+                            for device_age, n in zip(device_ages, row))
+            for robot_id, row in links.items()
+        }
+        return FleetView(self.edge_ids, devices, links, stale)

@@ -1,22 +1,23 @@
 """Per-robot offload scheduler.
 
-Every decision round each robot scores all known edges from its own
-gateway view, shares that table with its peers, adds the fleet's
-tables edge-wise, and proposes the edge with the highest combined
-score. Selection is damped by a sticky bonus: the currently selected
-edge gets a small additive boost, so a rival must beat the incumbent by
-more than the bonus before the robot proposes a switch. This
-hysteresis is what keeps near-tied utilities from flapping the task
-back and forth.
+Every decision round each robot scores all known edges from the fleet's
+readings, shares that table with its peers, adds the fleet's tables
+edge-wise, and proposes the edge with the highest combined score.
+Selection is damped by a sticky bonus: the currently selected edge gets
+a small additive boost, so a rival must beat the incumbent by more than
+the bonus before the robot proposes a switch. This hysteresis is what
+keeps near-tied utilities from flapping the task back and forth.
 
 The edge-wise sum has one implementation, ``summed_scores``: each
 robot adds its own score first and then its peers' in ascending robot
 id, with builtin ``sum``. The order decides the last bits of a sum, and
 those bits decide near-tied votes. ``fleet_proposals`` runs a round in
-which every table reaches every robot at once: each robot is scored
-once, the tables become one score column per edge, and each robot sums
-those columns in its own order. ``Scheduler.propose`` is the same vote
-for one robot against the peer tables it has observed.
+which every table reaches every robot at once, straight from the
+fleet's one reading store: each edge's CPU and memory axes are scored
+once and each link once, the tables become one score column per edge,
+and each robot sums those columns in its own order.
+``Scheduler.propose`` is the same vote for one robot, from a per-edge
+view of its own (``EdgeData``), against the peer tables it has observed.
 
 Staleness rules: an edge whose readings are stale (or missing) scores
 zero so it cannot win on outdated data. If every edge has gone stale
@@ -32,7 +33,7 @@ from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .errors import ConfigError, NoCandidatesError
-from .profiling import EdgeData
+from .profiling import EdgeData, FleetView
 from .utility import (
     NetworkBounds,
     TaskSpec,
@@ -210,21 +211,11 @@ class Scheduler:
 
     def score(self, edge_data: Mapping[str, Optional[EdgeData]]) -> dict[str, float]:
         """This robot's table: every known edge scored from its own view."""
-        return calculate_utility(
-            edge_data,
-            self.task,
-            self.bounds,
-            self.weights,
-            selected_edge=self.selected_edge,
-            sticky_bonus=self.sticky_bonus,
-        )
+        return calculate_utility(edge_data, self.task, self.bounds, self.weights,
+                                 selected_edge=self.selected_edge, sticky_bonus=self.sticky_bonus)
 
-    def build_table(
-        self,
-        edge_data: Mapping[str, Optional[EdgeData]],
-        now: float,
-        iteration: int,
-    ) -> UtilityTableMsg:
+    def build_table(self, edge_data: Mapping[str, Optional[EdgeData]],
+                    now: float, iteration: int) -> UtilityTableMsg:
         scores = tuple(sorted(self.score(edge_data).items()))
         return UtilityTableMsg(self.robot_id, iteration, scores, sent_at=now)
 
@@ -233,24 +224,16 @@ class Scheduler:
             return
         self.peers[msg.robot_id] = PeerTable(msg.as_dict(), received_at, msg.iteration)
 
-    def keeps_selection(self, edge_data: Mapping[str, Optional[EdgeData]]) -> bool:
-        """True when every present edge is stale and there is a selection to keep."""
-        present = [d for d in edge_data.values() if d is not None]
-        return self.selected_edge is not None and bool(present) and all(d.stale for d in present)
-
-    def propose(
-        self,
-        edge_data: Mapping[str, Optional[EdgeData]],
-        now: float,
-        iteration: int,
-    ) -> Proposal:
+    def propose(self, edge_data: Mapping[str, Optional[EdgeData]],
+                now: float, iteration: int) -> Proposal:
         """Score, sum with the fresh peer tables, and vote for an edge.
 
         With every edge stale at once the robot keeps its previous
         selection instead of voting on all-zero scores.
         """
         own = self.score(edge_data)
-        if self.keeps_selection(edge_data):
+        present = [d for d in edge_data.values() if d is not None]
+        if self.selected_edge is not None and all(d.stale for d in present):
             return Proposal(self.robot_id, iteration, self.selected_edge, own)
         summed = exchange_and_sum(self.robot_id, own, self.peers, now, self.peer_staleness)
         return select_max_edge(summed, self.robot_id, iteration)
@@ -263,24 +246,56 @@ class Scheduler:
 
 def fleet_proposals(
     schedulers: Mapping[str, Scheduler],
-    views: Mapping[str, Mapping[str, Optional[EdgeData]]],
+    view: FleetView,
     iteration: int,
 ) -> dict[str, Proposal]:
     """Every robot's vote in a round where each table reaches every peer at once.
 
     Gives each robot the proposal it would make after observing every
-    other robot's fresh table, but scores each robot once and builds the
-    score columns once for the whole fleet. Robots are scored in
-    ascending id, so the first robot whose view names no edge raises.
+    other robot's fresh table, scored straight from the fleet's one
+    store: the CPU and memory axes once per edge, the link axis once per
+    fresh (robot, edge) pair, each score the float ``calculate_utility``
+    gives. The fleet shares one task, one set of bounds and one weight
+    vector. Robots are scored in ascending id, so the first robot that
+    has heard from no edge raises.
     """
     order = sorted(schedulers)
-    own = [schedulers[rid].score(views[rid]) for rid in order]
-    columns = score_columns(own)
-    proposals: dict[str, Proposal] = {}
-    for index, rid in enumerate(order):
+    if not order or not view.edge_ids:
+        raise NoCandidatesError("no edges known to the scheduler")
+    first = schedulers[order[0]]
+    task, bounds, weights = shared = (first.task, first.bounds, first.weights)
+    if any((s.task, s.bounds, s.weights) != shared for s in schedulers.values()):
+        raise ConfigError("a fleet round needs one task, bounds and weights for every robot")
+    # total_utility adds left to right, so its first two terms are the
+    # same float for every robot and are added once per edge.
+    device_terms = [
+        None if d is None
+        else weights.w_cpu * cpu_utility(d) + weights.w_mem * memory_utility(d, task)
+        for d in view.devices
+    ]
+    own: list[dict[str, float]] = []
+    keeps: list[bool] = []
+    for rid in order:
         sched = schedulers[rid]
-        if sched.keeps_selection(views[rid]):
-            proposals[rid] = Proposal(rid, iteration, sched.selected_edge, own[index])
-        else:
-            proposals[rid] = select_max_edge(summed_scores(columns, index), rid, iteration)
-    return proposals
+        table: dict[str, float] = {}
+        present = fresh = False
+        for edge_id, term, link, stale in zip(
+            view.edge_ids, device_terms, view.links[rid], view.stale[rid]
+        ):
+            present = present or term is not None or link is not None
+            if stale:  # a missing reading counts as stale
+                table[edge_id] = 0.0
+                continue
+            fresh = True
+            score = term + weights.w_net * rssi_utility(link, bounds)
+            table[edge_id] = score + sched.sticky_bonus if edge_id == sched.selected_edge else score
+        if not present:
+            raise NoCandidatesError("all edges absent from the gateway view")
+        own.append(table)
+        keeps.append(sched.selected_edge is not None and not fresh)
+    columns = score_columns(own)
+    return {
+        rid: Proposal(rid, iteration, schedulers[rid].selected_edge, own[index]) if keeps[index]
+        else select_max_edge(summed_scores(columns, index), rid, iteration)
+        for index, rid in enumerate(order)
+    }

@@ -1,15 +1,15 @@
 """Deterministic discrete-event simulation of the offloading fleet.
 
 One run wires the whole pipeline together: synthetic profilers (or
-replayed trace rows) feed per-robot gateways; each decision round
-scores every robot's view once, and every robot adds the fleet's
-scores in its own order and votes (``scheduler.fleet_proposals``);
-every robot's executor computes the same consensus decision, the task
-moves to the winner with its waiting work (``apply_remap``), and the
-host edge executes the fleet's task messages under a load-dependent
-service law. A single priority queue orders
-events by (time, priority, insertion sequence), so a (config, seed)
-pair fully determines every output byte.
+replayed trace rows) feed the fleet's one reading store (``Gateway``);
+each decision round scores every edge's device once and every link
+once from it, and every robot adds the fleet's scores in its own order
+and votes (``scheduler.fleet_proposals``); every robot's executor
+computes the same consensus decision, the task moves to the winner
+with its waiting work (``apply_remap``), and the host edge executes the
+fleet's task messages under a load-dependent service law. A single
+priority queue orders events by (time, priority, insertion sequence),
+so a (config, seed) pair fully determines every output byte.
 
 Periodic events (sample, exec, decision, metrics) are scheduled one
 ahead: only the first of each kind is queued up front, and handling one
@@ -22,15 +22,15 @@ each send keeps the insertion sequence number it would have had if
 every send were queued up front (robot blocks in ascending id, right
 after the first periodic events), so sends tie-break against arrivals
 exactly as before and the queue holds at most one send per robot.
-Replayed trace rows are still queued up front.
+Replayed trace rows are still queued up front; the store's latest trace
+readings are also the replayed CPU load and link RSSI.
 
 The loop does only work whose result is read. Only the hosting edge
 holds work, so an exec tick advances the host alone (an idle edge is a
 fixed point of ``edge_execute``) and nothing before the first
-placement. Only the decision round reads the gateways, so synthetic
-``sample`` readings are taken under dynamic schemes only. Spike load is
-read from each device profile's step table (``SpikeTable``) rather than
-summed over every spike on each call.
+placement. Only the decision round reads synthetic samples, so they
+are taken under dynamic schemes only. Spike load is read from each
+device profile's step table (``SpikeTable``).
 
 Scheme semantics: ``fixed:<edge>`` pins the task to one edge and runs
 no scheduler at all; ``dynamic:<variant>`` runs the full decision
@@ -285,10 +285,7 @@ class Simulation:
                     f"network trace names unknown robots: {robots}, unknown edges: {edges}"
                 )
 
-        stale_after = 3.0 * cfg.sample_period
-        self.gateways = {
-            rid: Gateway(rid, self.edge_ids, stale_after) for rid in self.robot_ids
-        }
+        self.gateway = Gateway(self.robot_ids, self.edge_ids, 3.0 * cfg.sample_period)
         weights = cfg.effective_weights()
         self.schedulers = {
             rid: Scheduler(
@@ -337,10 +334,6 @@ class Simulation:
         self.mem_peak = {eid: 0.0 for eid in self.edge_ids}
         self.tick_count = 0
         self.rows: list[TickRow] = []
-
-        # replay state: last seen trace readings
-        self._trace_cpu = {eid: self.edges[eid].base_cpu for eid in self.edge_ids}
-        self._trace_rssi: dict[tuple[str, str], float] = {}
 
         self._heap: list[tuple] = []
         self._seq = itertools.count()
@@ -406,7 +399,8 @@ class Simulation:
 
     def _link_rssi(self, robot_id: str, edge_id: str, now: float) -> float:
         if self.replay:
-            return self._trace_rssi.get((robot_id, edge_id), -120.0)
+            reading = self.gateway.links[robot_id][edge_id]
+            return -120.0 if reading is None else reading.rssi
         return rssi_at(self.cfg.link, self._pose(robot_id, now), self._pose(edge_id, now))
 
     def _true_load(self, eid: str, now: float) -> tuple[float, float]:
@@ -415,7 +409,8 @@ class Simulation:
         st = self.exec_states[eid]
         spike_cpu, spike_mem = profile.spike_table.at(now)
         if self.replay:
-            cpu = self._trace_cpu[eid]
+            reading = self.gateway.devices[eid]
+            cpu = profile.base_cpu if reading is None else reading.cpu_used
         else:
             cpu = profile.base_cpu + spike_cpu + st.task_cpu
         mem = profile.base_mem + spike_mem
@@ -434,29 +429,24 @@ class Simulation:
         # metrics, not in the readings the schedulers compare. Feeding
         # the task's load back into its own placement signal would
         # penalize whichever edge hosts it and defeat the hysteresis.
+        gateway = self.gateway
         for eid in self.edge_ids:
-            snap = self.profilers[eid].sample(now)
-            for rid in self.robot_ids:
-                self.gateways[rid].ingest_device(snap)
+            gateway.ingest_device(self.profilers[eid].sample(now))
         # rssi_at reads the time from the robot's pose only, so one pose
         # per node serves every link sampled now.
         link = self.cfg.link
         edge_poses = [self._pose(eid, now) for eid in self.edge_ids]
         for rid in self.robot_ids:
-            gateway = self.gateways[rid]
             robot_pose = self._pose(rid, now)
             for eid, edge_pose in zip(self.edge_ids, edge_poses):
                 rssi = rssi_at(link, robot_pose, edge_pose)
                 gateway.ingest_network(NetworkSnapshot(rid, eid, now, rssi))
 
     def _on_trace_device(self, snap: DeviceSnapshot) -> None:
-        self._trace_cpu[snap.edge_id] = snap.cpu_used
-        for rid in self.robot_ids:
-            self.gateways[rid].ingest_device(snap)
+        self.gateway.ingest_device(snap)
 
     def _on_trace_net(self, snap: NetworkSnapshot) -> None:
-        self._trace_rssi[(snap.robot_id, snap.edge_id)] = snap.rssi
-        self.gateways[snap.robot_id].ingest_network(snap)
+        self.gateway.ingest_network(snap)
 
     def _on_send(self, now: float, robot_id: str, k: int) -> None:
         rate, quota, seq0 = self._sends[robot_id]
@@ -530,10 +520,10 @@ class Simulation:
     def _on_decision(self, now: float) -> None:
         iteration = self.iteration
         self.iteration += 1
-        views = {rid: self.gateways[rid].collect(now) for rid in self.robot_ids}
+        view = self.gateway.collect(now)
         proposals = {
             rid: proposal.max_edge
-            for rid, proposal in fleet_proposals(self.schedulers, views, iteration).items()
+            for rid, proposal in fleet_proposals(self.schedulers, view, iteration).items()
         }
         results = {
             rid: self.executors[rid].on_proposals(proposals, iteration)

@@ -8,23 +8,17 @@ Each edge resource is scored on three normalized axes:
 * Link quality: received signal strength mapped linearly onto [0, 1]
   between a usable floor and a best-case ceiling.
 
-A weighted sum combines the three into a single score per edge, and
-scores from several robots are added edge-wise so the fleet can pick
-the edge with the highest combined utility.
+A weighted sum combines the three into a single score per edge; the
+scheduler adds the fleet's scores edge-wise and picks the edge with the
+highest combined utility.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
-from .errors import (
-    InvalidBoundsError,
-    InvalidSnapshotError,
-    InvalidWeightsError,
-    NoCandidatesError,
-)
+from .errors import InvalidBoundsError, InvalidSnapshotError, InvalidWeightsError
 
 # Tolerance for the weight-simplex sum check.
 WEIGHT_SUM_TOLERANCE = 1e-9
@@ -185,25 +179,3 @@ def total_utility(cpu: float, mem: float, net: float, weights: Weights) -> float
         weights = Weights(*weights)
     return weights.w_cpu * cpu + weights.w_mem * mem + weights.w_net * net
 
-
-def sum_over_edges(tables: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
-    """Add per-robot utility tables edge-wise.
-
-    ``tables`` maps robot id to that robot's edge->score table. The
-    result covers the union of all edges seen; a robot missing an entry
-    contributes 0 for that edge. Keys come back sorted so downstream
-    iteration order is deterministic. The scheduler adds with
-    ``scheduler.summed_scores``; this is the reference its tests compare
-    the scheduler's sums against.
-    """
-    if not tables:
-        raise NoCandidatesError("no utility tables to sum")
-    edges: set[str] = set()
-    for table in tables.values():
-        edges.update(table.keys())
-    if not edges:
-        raise NoCandidatesError("utility tables name no edges")
-    return {
-        edge: sum(table.get(edge, 0.0) for table in tables.values())
-        for edge in sorted(edges)
-    }

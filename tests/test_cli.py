@@ -1,10 +1,17 @@
 """Command-line contract: outputs, overrides, and exit codes."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import write_replay_fixture
 
 from offloadsim.cli import main, render_decisions_csv, render_metrics_csv
 from offloadsim.config import (
@@ -16,6 +23,7 @@ from offloadsim.config import (
     load_config,
 )
 from offloadsim.netsim import LinkModel
+from offloadsim.scenarios import stress_scenario
 from offloadsim.simharness import run_scenario
 from offloadsim.utility import TaskSpec, Weights
 
@@ -239,10 +247,71 @@ def test_replay_with_unknown_robot_in_network_trace_exits_one(tmp_path, capsys):
     dump_config(tiny_config(), cfg_path)
     dev, net = write_flat_traces(tmp_path)
     with open(net, "a", encoding="utf-8") as fh:
-        fh.write("5.0,r7,e1,-55\n")
+        fh.write("30.0,r7,e1,-55\n")  # in time order, after the last row
     assert main(["replay", "--config", str(cfg_path), "--device-trace", dev,
                  "--net-trace", net]) == 1
     assert "unknown robots: ['r7']" in capsys.readouterr().err
+
+
+# Corruptions that make any trace row invalid, with the columns each may
+# hit and the values it may write there (device, network).
+NUMERIC_COLUMNS = {"device": (0, 2, 3, 4, 5), "net": (0, 3)}
+NOT_NUMBERS = [b"", b"x", b"12a", b"1.0.0", b"--3", b"0x1F"]
+NOT_FINITE = [b"nan", b"inf", b"-inf", b"Infinity"]
+OUT_OF_RANGE = {
+    "device": {2: [b"0", b"-5", b"100.5"], 3: [b"-1", b"100.5", b"1e6"],
+               4: [b"0", b"-1"], 5: [b"-1", b"4096.5", b"1e9"]},
+    "net": {3: [b"0.5", b"10", b"-120.5", b"-500"]},
+}
+CORRUPTIONS = ("non-utf8", "drop-field", "extra-field", "non-numeric",
+               "non-finite-t", "out-of-range", "decreasing-t")
+
+
+def corrupt_row(draw, kind, corruption, fields, previous):
+    """Return the bytes of one trace row after an always-invalid corruption."""
+    if corruption == "non-utf8":
+        line = b",".join(fields)
+        at = draw(st.integers(0, len(line)))
+        return line[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + line[at:]
+    if corruption == "drop-field":
+        del fields[draw(st.integers(0, len(fields) - 1))]
+    elif corruption == "extra-field":
+        fields.insert(draw(st.integers(0, len(fields))), draw(st.sampled_from([b"1", b"", b"e1"])))
+    elif corruption == "non-numeric":
+        fields[draw(st.sampled_from(NUMERIC_COLUMNS[kind]))] = draw(st.sampled_from(NOT_NUMBERS))
+    elif corruption == "non-finite-t":
+        fields[0] = draw(st.sampled_from(NOT_FINITE))
+    elif corruption == "out-of-range":
+        column = draw(st.sampled_from(sorted(OUT_OF_RANGE[kind])))
+        fields[column] = draw(st.sampled_from(OUT_OF_RANGE[kind][column]))
+    else:  # decreasing-t
+        step = draw(st.sampled_from([0.5, 1.0, 7.25]))
+        fields[0] = repr(float(previous[0]) - step).encode()
+    return b",".join(fields)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["device", "net"]), corruption=st.sampled_from(CORRUPTIONS),
+       data=st.data())
+def test_replay_of_a_corrupted_fixture_exits_one_naming_file_and_line(kind, corruption, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        dev, net = write_replay_fixture(directory)
+        path = Path(dev if kind == "device" else net)
+        lines = path.read_bytes().split(b"\n")  # header, rows, then b""
+        # Line numbers count from 1; a decreasing t needs a row before it.
+        lineno = data.draw(st.integers(3 if corruption == "decreasing-t" else 2, len(lines) - 1))
+        lines[lineno - 1] = corrupt_row(data.draw, kind, corruption,
+                                        lines[lineno - 1].split(b","), lines[lineno - 2].split(b","))
+        path.write_bytes(b"\n".join(lines))
+        cfg_path = directory / "cfg.yaml"
+        dump_config(stress_scenario(seed=1), cfg_path)
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["replay", "--config", str(cfg_path), "--device-trace", dev,
+                         "--net-trace", net, "--out", str(directory / "out")])
+    assert code == 1, err.getvalue()
+    assert f"{path}:{lineno}: " in err.getvalue()
 
 
 # ------------------------------------------------------------- renderers

@@ -1,4 +1,4 @@
-"""Tests for synthetic profilers, trace replay, and the gateway cache."""
+"""Tests for synthetic profilers, trace replay, and the fleet's reading store."""
 
 from __future__ import annotations
 
@@ -216,8 +216,8 @@ def net_snap(edge_id, t, robot_id="r1", rssi=-60.0):
     return NetworkSnapshot(robot_id, edge_id, t, rssi)
 
 
-def make_gateway(edges=("e1", "e2"), stale_after=3.0):
-    return Gateway("r1", edges, stale_after=stale_after)
+def make_gateway(edges=("e1", "e2"), stale_after=3.0, robots=("r1",)):
+    return Gateway(robots, edges, stale_after=stale_after)
 
 
 def test_gateway_reports_age_of_freshest_reading():
@@ -225,44 +225,49 @@ def test_gateway_reports_age_of_freshest_reading():
     for t in (1.0, 2.0, 3.0):
         gw.ingest_device(device_snap("e1", t))
         gw.ingest_network(net_snap("e1", t))
-    view = gw.collect(3.4)
-    data = view["e1"]
-    assert data.device.t == 3.0
-    assert data.device_age == pytest.approx(0.4)
-    assert data.network_age == pytest.approx(0.4)
-    assert not data.stale
+    view = gw.collect(6.0)  # both readings exactly stale_after old
+    assert view.devices[0].t == 3.0
+    assert view.links["r1"][0].t == 3.0
+    assert view.stale == {"r1": (False,)}
+    assert gw.collect(6.25).stale == {"r1": (True,)}
 
 
 def test_gateway_flags_stale_after_three_periods():
     gw = make_gateway(edges=("e1",), stale_after=3.0)
-    gw.ingest_device(device_snap("e1", 1.0))
-    gw.ingest_network(net_snap("e1", 1.0))
-    view = gw.collect(5.0)
-    assert view["e1"].device_age == pytest.approx(4.0)
-    assert view["e1"].stale
+    gw.ingest_device(device_snap("e1", 2.0))
+    gw.ingest_network(net_snap("e1", 4.0))
+    # The older reading decides: at 5.5 s the link is fresh, the device is not.
+    assert gw.collect(5.0).stale == {"r1": (False,)}
+    assert gw.collect(5.5).stale == {"r1": (True,)}
 
 
 def test_gateway_reports_unseen_edge_as_absent():
-    gw = make_gateway(edges=("e1", "e3"))
+    gw = make_gateway(edges=("e3", "e1"))
     gw.ingest_device(device_snap("e1", 1.0))
     view = gw.collect(2.0)
-    assert view["e3"] is None
-    assert view["e1"] is not None
+    assert view.edge_ids == ("e1", "e3")
+    assert view.devices[1] is None and view.links["r1"] == (None, None)
+    assert view.devices[0] is not None
 
 
 def test_gateway_ignores_other_robots_network_readings():
-    gw = make_gateway(edges=("e1",))
+    gw = make_gateway(edges=("e1",), robots=("r1", "r2"))
     gw.ingest_device(device_snap("e1", 1.0))
     gw.ingest_network(net_snap("e1", 1.0, robot_id="r2"))
+    gw.ingest_network(net_snap("e1", 1.0, robot_id="r9"))  # not in the fleet
+    gw.ingest_network(net_snap("e9", 1.0))  # not a known edge
     view = gw.collect(1.5)
-    assert view["e1"].network is None
-    assert view["e1"].stale  # missing link reading counts as infinitely old
+    assert view.links == {"r1": (None,), "r2": (gw.links["r2"]["e1"],)}
+    assert gw.links["r2"]["e1"].t == 1.0
+    # r1's missing link reading counts as infinitely old; the device
+    # reading is the fleet's and fresh for r2.
+    assert view.stale == {"r1": (True,), "r2": (False,)}
 
 
 def test_gateway_missing_device_reading_is_stale_but_present():
     gw = make_gateway(edges=("e1",))
     gw.ingest_network(net_snap("e1", 1.0))
     view = gw.collect(1.5)
-    assert view["e1"] is not None
-    assert view["e1"].device is None
-    assert view["e1"].stale
+    assert view.devices == (None,)
+    assert view.links["r1"][0] is not None
+    assert view.stale == {"r1": (True,)}

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from offloadsim.errors import ConfigError, NoCandidatesError
-from offloadsim.profiling import EdgeData
+from offloadsim.profiling import EdgeData, Gateway
 from offloadsim.scheduler import (
     PeerTable,
     Proposal,
@@ -26,7 +26,6 @@ from offloadsim.utility import (
     TaskSpec,
     Weights,
     cpu_utility,
-    sum_over_edges,
 )
 
 TOL = 1e-12
@@ -221,67 +220,171 @@ def test_select_max_edge_matches_bruteforce(scores):
     assert got == expected
 
 
+# ---------------------------------------------------- edge-wise sum oracle
+
+def sum_over_edges(tables):
+    """Add per-robot utility tables edge-wise, in the mapping's robot order.
+
+    ``tables`` maps robot id to that robot's edge->score table. The
+    result covers the union of all edges seen; a robot missing an entry
+    contributes 0 for that edge. Keys come back sorted. This is the
+    reference the fleet round's sums are compared against.
+    """
+    if not tables:
+        raise NoCandidatesError("no utility tables to sum")
+    edges = set()
+    for table in tables.values():
+        edges.update(table.keys())
+    if not edges:
+        raise NoCandidatesError("utility tables name no edges")
+    return {
+        edge: sum(table.get(edge, 0.0) for table in tables.values())
+        for edge in sorted(edges)
+    }
+
+
+def test_sum_over_edges_two_robots_one_edge():
+    got = sum_over_edges({"r1": {"e1": 0.5}, "r2": {"e1": 0.3}})
+    assert got == pytest.approx({"e1": 0.8}, abs=TOL)
+
+
+def test_sum_over_edges_single_robot_is_identity():
+    table = {"e1": 0.25, "e2": 0.75}
+    assert sum_over_edges({"r1": table}) == pytest.approx(table, abs=TOL)
+
+
+def test_sum_over_edges_two_by_two_and_argmax():
+    got = sum_over_edges({"r1": {"e1": 0.2, "e2": 0.9}, "r2": {"e1": 0.9, "e2": 0.3}})
+    assert got == pytest.approx({"e1": 1.1, "e2": 1.2}, abs=TOL)
+    assert max(got, key=lambda e: (got[e], )) == "e2"
+
+
+def test_sum_over_edges_missing_entries_count_as_zero():
+    got = sum_over_edges({"r1": {"e1": 0.4}, "r2": {"e2": 0.6}})
+    assert got == pytest.approx({"e1": 0.4, "e2": 0.6}, abs=TOL)
+
+
+def test_sum_over_edges_empty_input_rejected():
+    with pytest.raises(NoCandidatesError):
+        sum_over_edges({})
+    with pytest.raises(NoCandidatesError):
+        sum_over_edges({"r1": {}})
+
+
+@given(
+    tables=st.dictionaries(
+        keys=st.sampled_from(["r1", "r2", "r3", "r4"]),
+        values=st.dictionaries(
+            keys=st.sampled_from(["e1", "e2", "e3", "e4", "e5"]),
+            values=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            min_size=1,
+            max_size=5,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_sum_over_edges_matches_bruteforce(tables):
+    got = sum_over_edges(tables)
+    edges = sorted({e for t in tables.values() for e in t})
+    for edge in edges:
+        expected = 0.0
+        for t in tables.values():
+            expected += t.get(edge, 0.0)
+        assert got[edge] == pytest.approx(expected, abs=TOL)
+    assert list(got) == edges
+
+
 # ------------------------------------------------------------ fleet round
+
+NOW = 10.0
+STALE_AFTER = 3.0
+AGES = {"fresh": (0.0, 1.0, STALE_AFTER), "stale": (3.5, 8.0)}
+
 
 @st.composite
 def fleet_rounds(draw):
-    """Views, incumbents and bonus for up to 8 robots over up to 5 edges.
+    """The store's readings, incumbents, bonus and weights for a fleet round.
 
-    CPU-only weights make every fresh score a multiple of 0.1 (plus the
-    bonus on the incumbent), so exact ties are common and the order of
-    the additions changes the rounding of the sums. Most readings are
-    fresh, some stale or absent, and about one robot in four has every
-    present edge stale.
+    Up to 8 robots and 5 edges: one device reading per edge and one
+    link reading per (robot, edge) pair, each fresh (age up to exactly
+    the staleness window), stale or absent. CPU and link scores are
+    multiples of 0.1, so exact ties are common and the order of the
+    additions changes the rounding of the sums. About one robot in four
+    has no fresh link at all.
     """
     n_robots = draw(st.integers(min_value=1, max_value=8))
     edges = [f"e{j}" for j in range(1, draw(st.integers(min_value=1, max_value=5)) + 1)]
     bonus = draw(st.sampled_from([0.0, 0.05, 0.1]))
-    reading = st.tuples(
-        st.integers(min_value=0, max_value=10),
-        st.sampled_from(["fresh", "fresh", "fresh", "stale", "absent"]),
-    )
+    weights = draw(st.sampled_from(
+        [Weights(0.5, 0.0, 0.5), Weights(0.4, 0.2, 0.4), Weights(0.7, 0.0, 0.3)]))
+    state = st.sampled_from(["fresh", "fresh", "fresh", "stale", "absent"])
+
+    def reading_time(kind):
+        return None if kind == "absent" else NOW - draw(st.sampled_from(AGES[kind]))
+
+    devices = {}
+    for edge_id in edges:
+        t = reading_time(draw(state))
+        devices[edge_id] = None if t is None else DeviceSnapshot(
+            edge_id, t, 100.0, 10.0 * draw(st.integers(min_value=0, max_value=10)),
+            4096.0, draw(st.sampled_from([0.0, 1024.0, 2048.0])))
     robots = {}
     for i in range(1, n_robots + 1):
         rid = f"r{i}"
-        all_stale = draw(st.integers(min_value=0, max_value=3)) == 3
-        view = {}
+        no_fresh_link = draw(st.integers(min_value=0, max_value=3)) == 3
+        links = {}
         for edge_id in edges:
-            tenths, state = draw(reading)
-            if state == "absent":
-                view[edge_id] = None
-            else:
-                stale = all_stale or state == "stale"
-                view[edge_id] = edge_view(edge_id, 10.0 * (10 - tenths), stale=stale, robot_id=rid)
-        robots[rid] = (view, draw(st.sampled_from([None, *edges])))
-    return robots, bonus
+            kind = draw(state)
+            t = reading_time("stale" if no_fresh_link and kind == "fresh" else kind)
+            # -85 + 5.5 k dBm scores exactly k / 10 on the link axis.
+            links[edge_id] = None if t is None else NetworkSnapshot(
+                rid, edge_id, t, -85.0 + 5.5 * draw(st.integers(min_value=0, max_value=10)))
+        robots[rid] = (links, draw(st.sampled_from([None, *edges])))
+    return devices, robots, bonus, weights
 
 
-def fleet_schedulers(robots, bonus):
+def fleet_schedulers(robots, bonus, weights):
     scheds = {}
     for rid, (_, incumbent) in robots.items():
-        scheds[rid] = scheduler(rid, h=bonus)
+        scheds[rid] = scheduler(rid, h=bonus, weights=weights)
         scheds[rid].commit(incumbent)
     return scheds
 
 
-def reference_proposals(robots, bonus, now, iteration):
+def robot_view(devices, links):
+    """One robot's per-edge view of the readings, as its own gateway held it."""
+    view = {}
+    for edge_id, device in devices.items():
+        network = links[edge_id]
+        if device is None and network is None:
+            view[edge_id] = None
+            continue
+        device_age = NOW - device.t if device is not None else float("inf")
+        network_age = NOW - network.t if network is not None else float("inf")
+        stale = max(device_age, network_age) > STALE_AFTER
+        view[edge_id] = EdgeData(edge_id, device, network, device_age, network_age, stale)
+    return view
+
+
+def reference_proposals(views, robots, bonus, weights, iteration):
     """Each robot's proposal as the round ran before ``fleet_proposals``.
 
-    Every robot builds and broadcasts its table and observes every
-    peer's; each then adds its own table first and the peers' in
-    ascending id with ``sum_over_edges`` and takes the highest sum,
-    exact ties to the smallest edge id. A robot whose present edges are
-    all stale keeps its incumbent. Returns the proposals and the
+    Every robot builds and broadcasts its table from its own view and
+    observes every peer's; each then adds its own table first and the
+    peers' in ascending id with ``sum_over_edges`` and takes the highest
+    sum, exact ties to the smallest edge id. A robot whose present edges
+    are all stale keeps its incumbent. Returns the proposals and the
     schedulers, which hold every peer's table.
     """
-    scheds = fleet_schedulers(robots, bonus)
-    tables = {rid: scheds[rid].build_table(robots[rid][0], now, iteration) for rid in scheds}
+    scheds = fleet_schedulers(robots, bonus, weights)
+    tables = {rid: scheds[rid].build_table(views[rid], NOW, iteration) for rid in scheds}
     proposals = {}
     for rid, sched in scheds.items():
         for peer in sorted(scheds):
-            sched.observe_peer(tables[peer], received_at=now)
+            sched.observe_peer(tables[peer], received_at=NOW)
         own = tables[rid].as_dict()
-        present = [d for d in robots[rid][0].values() if d is not None]
+        present = [d for d in views[rid].values() if d is not None]
         if sched.selected_edge is not None and present and all(d.stale for d in present):
             proposals[rid] = Proposal(rid, iteration, sched.selected_edge, own)
             continue
@@ -294,23 +397,48 @@ def reference_proposals(robots, bonus, now, iteration):
     return proposals, scheds
 
 
+def fleet_store(devices, robots):
+    store = Gateway(robots, devices, STALE_AFTER)
+    for device in devices.values():
+        if device is not None:
+            store.ingest_device(device)
+    for links, _ in robots.values():
+        for network in links.values():
+            if network is not None:
+                store.ingest_network(network)
+    return store
+
+
 @settings(max_examples=300)
 @given(fleet_rounds())
-@example(({"r1": ({"e1": None}, None), "r2": ({"e1": edge_view("e1", 50.0)}, None)}, 0.0))
+@example(({"e1": None},
+          {"r1": ({"e1": None}, None),
+           "r2": ({"e1": NetworkSnapshot("r2", "e1", NOW, -40.0)}, None)},
+          0.0, Weights(0.5, 0.0, 0.5)))
 def test_fleet_round_matches_table_exchange(round_):
-    robots, bonus = round_
-    now, iteration = 10.0, 4
+    devices, robots, bonus, weights = round_
+    iteration = 4
+    views = {rid: robot_view(devices, links) for rid, (links, _) in robots.items()}
     try:
-        expected, observed = reference_proposals(robots, bonus, now, iteration)
+        expected, observed = reference_proposals(views, robots, bonus, weights, iteration)
     except NoCandidatesError:
         expected = None
-    scheds = fleet_schedulers(robots, bonus)
-    views = {rid: view for rid, (view, _) in robots.items()}
+    scheds = fleet_schedulers(robots, bonus, weights)
+    view = fleet_store(devices, robots).collect(NOW)
     if expected is None:
         with pytest.raises(NoCandidatesError):
-            fleet_proposals(scheds, views, iteration)
+            fleet_proposals(scheds, view, iteration)
         return
     # Proposals compare their summed tables with ==, so every bit counts.
-    assert fleet_proposals(scheds, views, iteration) == expected
-    proposed = {rid: sched.propose(views[rid], now, iteration) for rid, sched in observed.items()}
+    assert fleet_proposals(scheds, view, iteration) == expected
+    proposed = {rid: sched.propose(views[rid], NOW, iteration) for rid, sched in observed.items()}
     assert proposed == expected
+
+
+def test_fleet_round_needs_one_weight_vector():
+    devices = {"e1": DeviceSnapshot("e1", NOW, 100.0, 20.0, 4096.0, 0.0)}
+    robots = {rid: ({"e1": NetworkSnapshot(rid, "e1", NOW, -40.0)}, None) for rid in ("r1", "r2")}
+    scheds = fleet_schedulers(robots, 0.0, CPU_ONLY)
+    scheds["r2"] = scheduler("r2", weights=Weights(0.5, 0.0, 0.5))
+    with pytest.raises(ConfigError):
+        fleet_proposals(scheds, fleet_store(devices, robots).collect(NOW), 0)

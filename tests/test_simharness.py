@@ -248,20 +248,33 @@ def test_switch_count_matches_decision_log(monkeypatch):
 
 
 def test_each_robot_is_scored_once_per_decision_round(monkeypatch):
-    calls = []
-    calculate_utility = scheduler.calculate_utility
+    # The device axes are scored once per edge, the link axis once per
+    # (robot, edge) pair, and no robot's whole table through
+    # calculate_utility.
+    calls = Counter()
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return calculate_utility(*args, **kwargs)
+    def counting(name):
+        original = getattr(scheduler, name)
 
-    monkeypatch.setattr(scheduler, "calculate_utility", counting)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in ("cpu_utility", "memory_utility", "rssi_utility", "calculate_utility"):
+        monkeypatch.setattr(scheduler, name, counting(name))
     cfg = replace(stress_scenario(seed=2, scheme="dynamic:both"),
                   duration=60.0, nominal_duration=None)
     sim = Simulation(cfg)
     report = sim.run()
-    assert report.decisions
-    assert len(calls) == len(sim.robot_ids) * len(report.decisions)
+    rounds = len(report.decisions)
+    assert rounds
+    edges, robots = len(sim.edge_ids), len(sim.robot_ids)
+    assert calls == {
+        "cpu_utility": edges * rounds,
+        "memory_utility": edges * rounds,
+        "rssi_utility": robots * edges * rounds,
+    }
 
 
 def _readings_held(obj) -> Counter:
@@ -282,9 +295,9 @@ def _readings_held(obj) -> Counter:
 def test_gateway_memory_is_bounded_by_the_fleet_not_the_horizon():
     sim = Simulation(stress_scenario(seed=1, scheme="dynamic:both"))
     sim.run()
-    edges = len(sim.edge_ids)
-    for gateway in sim.gateways.values():
-        assert _readings_held(gateway) == {"DeviceSnapshot": edges, "NetworkSnapshot": edges}
+    edges, robots = len(sim.edge_ids), len(sim.robot_ids)
+    assert _readings_held(sim.gateway) == {
+        "DeviceSnapshot": edges, "NetworkSnapshot": robots * edges}
 
 
 # ------------------------------------------------------------- comparison
@@ -384,7 +397,7 @@ def test_periodic_events_are_queued_one_ahead():
 
 
 def test_fixed_scheme_takes_no_samples():
-    # Only the decision round reads the gateways, and a fixed scheme has none.
+    # Only the decision round reads the store, and a fixed scheme has none.
     sim = Simulation(replace(stress_scenario(seed=1, scheme="fixed:e2"),
                              duration=60.0, nominal_duration=None))
     sampled = []
@@ -392,8 +405,7 @@ def test_fixed_scheme_takes_no_samples():
     sim._on_sample = lambda now: (sampled.append(now), on_sample(now))
     sim.run()
     assert sampled == []
-    for gateway in sim.gateways.values():
-        assert _readings_held(gateway) == Counter()
+    assert _readings_held(sim.gateway) == Counter()
 
 
 def test_only_the_host_is_advanced_and_only_once_placed(monkeypatch):

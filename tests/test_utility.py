@@ -10,7 +10,6 @@ from offloadsim.errors import (
     InvalidBoundsError,
     InvalidSnapshotError,
     InvalidWeightsError,
-    NoCandidatesError,
 )
 from offloadsim.utility import (
     DeviceSnapshot,
@@ -21,7 +20,6 @@ from offloadsim.utility import (
     cpu_utility,
     memory_utility,
     rssi_utility,
-    sum_over_edges,
     total_utility,
 )
 
@@ -143,36 +141,6 @@ def test_weight_sum_tolerance_accepts_tiny_error():
     Weights(0.3, 0.3, 0.4 + 5e-10)  # within the 1e-9 simplex tolerance
 
 
-# ----------------------------------------------------------- edge-wise sum
-
-def test_sum_over_edges_two_robots_one_edge():
-    got = sum_over_edges({"r1": {"e1": 0.5}, "r2": {"e1": 0.3}})
-    assert got == pytest.approx({"e1": 0.8}, abs=TOL)
-
-
-def test_sum_over_edges_single_robot_is_identity():
-    table = {"e1": 0.25, "e2": 0.75}
-    assert sum_over_edges({"r1": table}) == pytest.approx(table, abs=TOL)
-
-
-def test_sum_over_edges_two_by_two_and_argmax():
-    got = sum_over_edges({"r1": {"e1": 0.2, "e2": 0.9}, "r2": {"e1": 0.9, "e2": 0.3}})
-    assert got == pytest.approx({"e1": 1.1, "e2": 1.2}, abs=TOL)
-    assert max(got, key=lambda e: (got[e], )) == "e2"
-
-
-def test_sum_over_edges_missing_entries_count_as_zero():
-    got = sum_over_edges({"r1": {"e1": 0.4}, "r2": {"e2": 0.6}})
-    assert got == pytest.approx({"e1": 0.4, "e2": 0.6}, abs=TOL)
-
-
-def test_sum_over_edges_empty_input_rejected():
-    with pytest.raises(NoCandidatesError):
-        sum_over_edges({})
-    with pytest.raises(NoCandidatesError):
-        sum_over_edges({"r1": {}})
-
-
 # ------------------------------------------------------------- properties
 
 pct = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -234,27 +202,3 @@ def test_total_utility_degenerate_weights_select_one_axis(c, m, n):
     assert total_utility(c, m, n, Weights(1.0, 0.0, 0.0)) == pytest.approx(c, abs=TOL)
     assert total_utility(c, m, n, Weights(0.0, 1.0, 0.0)) == pytest.approx(m, abs=TOL)
     assert total_utility(c, m, n, Weights(0.0, 0.0, 1.0)) == pytest.approx(n, abs=TOL)
-
-
-@given(
-    tables=st.dictionaries(
-        keys=st.sampled_from(["r1", "r2", "r3", "r4"]),
-        values=st.dictionaries(
-            keys=st.sampled_from(["e1", "e2", "e3", "e4", "e5"]),
-            values=unit,
-            min_size=1,
-            max_size=5,
-        ),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_sum_over_edges_matches_bruteforce(tables):
-    got = sum_over_edges(tables)
-    edges = sorted({e for t in tables.values() for e in t})
-    for edge in edges:
-        expected = 0.0
-        for t in tables.values():
-            expected += t.get(edge, 0.0)
-        assert got[edge] == pytest.approx(expected, abs=TOL)
-    assert list(got) == edges
