@@ -17,7 +17,7 @@ from typing import Optional
 
 import yaml
 
-from .errors import ConfigError, OffloadError
+from .errors import ConfigError, OffloadError, require_finite
 from .netsim import LinkModel
 from .profiling import LoadSpike
 from .utility import NetworkBounds, TaskSpec, Weights
@@ -47,6 +47,10 @@ class RobotSpec:
     input_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
+        owner = f"robots[{self.robot_id}]"
+        require_finite(owner, x=self.x, y=self.y, input_rate=self.input_rate)
+        for i, (t, x, y) in enumerate(self.waypoints):
+            require_finite(f"{owner}.waypoints[{i}]", t=t, x=x, y=y)
         times = [w[0] for w in self.waypoints]
         if times != sorted(set(times)):
             raise ConfigError(f"robots[{self.robot_id}].waypoints: times must strictly increase")
@@ -84,6 +88,9 @@ class EdgeSpec:
 
     def __post_init__(self) -> None:
         eid = self.edge_id
+        require_finite(f"edges[{eid}]", x=self.x, y=self.y, cpu_max=self.cpu_max,
+                       mem_max=self.mem_max, base_cpu=self.base_cpu, base_mem=self.base_mem,
+                       capacity_factor=self.capacity_factor)
         if not (0.0 < self.cpu_max <= 100.0):
             raise ConfigError(f"edges[{eid}].cpu_max must be in (0, 100]")
         if self.mem_max <= 0.0:
@@ -140,6 +147,9 @@ class ExecModel:
     exec_tick: float = 0.1
 
     def __post_init__(self) -> None:
+        require_finite("exec_model", cpu_per_message=self.cpu_per_message,
+                       task_cpu_cap=self.task_cpu_cap, base_latency=self.base_latency,
+                       exec_tick=self.exec_tick)
         if self.cpu_per_message < 0.0:
             raise ConfigError("exec_model.cpu_per_message must be >= 0")
         if not (0.0 <= self.task_cpu_cap <= 100.0):
@@ -186,6 +196,9 @@ class ScenarioConfig:
         if len(set(edge_ids)) != len(edge_ids):
             raise ConfigError("edges: ids must be unique")
         parse_scheme(self.scheme, edge_ids)
+        require_finite("", sticky_bonus=self.sticky_bonus, decision_period=self.decision_period,
+                       sample_period=self.sample_period, noise_amp=self.noise_amp,
+                       duration=self.duration, nominal_duration=self.nominal_duration)
         if not (0.0 <= self.sticky_bonus <= 0.5):
             raise ConfigError("sticky_bonus must be in [0, 0.5]")
         for name in ("decision_period", "sample_period", "duration"):

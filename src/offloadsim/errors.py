@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class OffloadError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,3 +31,11 @@ class ConfigError(OffloadError):
 
 class TraceFormatError(OffloadError):
     """A trace file is malformed; message carries file and line."""
+
+
+def require_finite(owner: str, **values: float | None) -> None:
+    """Raise ConfigError naming the first value that is NaN or infinite; None is unset."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            label = f"{owner}.{name}" if owner else name
+            raise ConfigError(f"{label} must be finite, got {value}")

@@ -8,7 +8,9 @@ usable RSSI floor drops the message instead.
 
 Shadowing is a pure function of (seed, endpoints, sample time), not a
 stateful RNG stream, so evaluating the same link twice at the same
-instant always yields the same value regardless of call order.
+instant always yields the same value regardless of call order. It
+follows ``LinkModel.seed``, not a run's seed. ``rssi_at`` given a draw
+memo (a dict its caller owns) seeds each such draw once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
 RSSI_FLOOR_DBM = -120.0
 RSSI_CEILING_DBM = -20.0
@@ -66,6 +68,8 @@ class LinkModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite("link", ref_power_dbm=self.ref_power_dbm, ref_distance=self.ref_distance,
+                       path_loss_exp=self.path_loss_exp, shadow_sigma=self.shadow_sigma)
         if not (1.5 <= self.path_loss_exp <= 6.0):
             raise ConfigError(
                 f"path_loss_exp must be in [1.5, 6], got {self.path_loss_exp}"
@@ -109,24 +113,34 @@ class Delivery:
         return self.arrival_at is None
 
 
-def _shadowing_db(link: LinkModel, src: str, dst: str, t: float) -> float:
+def _shadowing_db(link: LinkModel, src: str, dst: str, t: float,
+                  draws: Optional[dict] = None) -> float:
     if link.shadow_sigma == 0.0:
         return 0.0
-    rng = random.Random(f"{link.seed}/shadow/{src}/{dst}/{t!r}")
-    return rng.gauss(0.0, link.shadow_sigma)
+    # A key holds every input of the seed string, so a hit equals a fresh draw.
+    # Only float t is memoized (1 == 1.0, but their reprs differ); t is never -0.0.
+    stream = None if draws is None or type(t) is not float else draws.setdefault(
+        ("shadow", link.seed, link.shadow_sigma, src, dst), {})
+    if stream is not None and t in stream:
+        return stream[t]
+    value = random.Random(f"{link.seed}/shadow/{src}/{dst}/{t!r}").gauss(0.0, link.shadow_sigma)
+    if stream is not None:
+        stream[t] = value
+    return value
 
 
-def rssi_at(link: LinkModel, src_pose: NodePose, dst_pose: NodePose) -> float:
+def rssi_at(link: LinkModel, src_pose: NodePose, dst_pose: NodePose,
+            draws: Optional[dict] = None) -> float:
     """Received signal strength in dBm between two poses.
 
     Distances inside the reference distance clamp to the reference, and
     the result clamps into the physically plausible [-120, -20] dBm
-    window. Shadowing is sampled at the source pose's timestamp.
+    window. Shadowing is sampled at the source pose's timestamp (memoized in ``draws``).
     """
     d = math.hypot(src_pose.x - dst_pose.x, src_pose.y - dst_pose.y)
     d = max(d, link.ref_distance)
     rssi = link.ref_power_dbm - 10.0 * link.path_loss_exp * math.log10(d / link.ref_distance)
-    rssi += _shadowing_db(link, src_pose.node_id, dst_pose.node_id, src_pose.t)
+    rssi += _shadowing_db(link, src_pose.node_id, dst_pose.node_id, src_pose.t, draws)
     return max(RSSI_FLOOR_DBM, min(RSSI_CEILING_DBM, rssi))
 
 

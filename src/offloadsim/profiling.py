@@ -11,6 +11,8 @@ a stale edge) belongs to the scheduler; the store only reports it.
 Readings come either from a seeded synthetic generator, in which load
 is base plus any active spikes plus bounded measurement noise, or from
 device and network trace CSVs that the harness replays bit-exactly.
+Noise is a pure function of (run seed, edge, axis, t, amplitude); given a
+draw memo, a profiler seeds each draw once, keyed as ``netsim`` keys shadowing.
 
 Spike load is read from a per-device ``SpikeTable``: the sum of active
 spikes is piecewise constant between spike starts and ends, so it is
@@ -103,13 +105,20 @@ class SpikeTable:
         return self.values[bisect_right(self.breakpoints, t)]
 
 
-def _noise(seed: int, edge_id: str, axis: str, t: float, amplitude: float) -> float:
+def _noise(seed: int, edge_id: str, axis: str, t: float, amplitude: float,
+           draws: Optional[dict] = None) -> float:
     # Pure function of its arguments, so sampling order cannot perturb a
     # run and the stream is reproducible across processes.
     if amplitude == 0.0:
         return 0.0
-    rng = Random(f"{seed}/noise/{edge_id}/{axis}/{t!r}")
-    return rng.uniform(-amplitude, amplitude)
+    stream = None if draws is None or type(t) is not float else draws.setdefault(
+        ("noise", seed, edge_id, axis, amplitude), {})
+    if stream is not None and t in stream:
+        return stream[t]
+    value = Random(f"{seed}/noise/{edge_id}/{axis}/{t!r}").uniform(-amplitude, amplitude)
+    if stream is not None:
+        stream[t] = value
+    return value
 
 
 class SyntheticDeviceProfiler:
@@ -120,7 +129,7 @@ class SyntheticDeviceProfiler:
     """
 
     def __init__(self, profile: DeviceProfile, seed: int, sample_period: float,
-                 noise_amp: float = 2.0) -> None:
+                 noise_amp: float = 2.0, *, draws: Optional[dict] = None) -> None:
         if sample_period <= 0.0:
             raise ConfigError(f"sample_period must be positive, got {sample_period}")
         if noise_amp < 0.0:
@@ -129,13 +138,15 @@ class SyntheticDeviceProfiler:
         self.seed = seed
         self.sample_period = sample_period
         self.noise_amp = noise_amp
+        self.draws = draws
 
     def sample(self, t: float) -> DeviceSnapshot:
         p = self.profile
         spike_cpu, spike_mem = p.spike_table.at(t)
-        cpu = p.base_cpu + spike_cpu + _noise(self.seed, p.edge_id, "cpu", t, self.noise_amp)
-        mem_noise = _noise(self.seed, p.edge_id, "mem", t, self.noise_amp) / 100.0 * p.mem_max
-        mem = p.base_mem + spike_mem + mem_noise
+        noise_cpu = _noise(self.seed, p.edge_id, "cpu", t, self.noise_amp, self.draws)
+        noise_mem = _noise(self.seed, p.edge_id, "mem", t, self.noise_amp, self.draws)
+        cpu = p.base_cpu + spike_cpu + noise_cpu
+        mem = p.base_mem + spike_mem + noise_mem / 100.0 * p.mem_max
         return DeviceSnapshot(
             edge_id=p.edge_id,
             t=t,

@@ -30,7 +30,9 @@ holds work, so an exec tick advances the host alone (an idle edge is a
 fixed point of ``edge_execute``) and nothing before the first
 placement. Only the decision round reads synthetic samples, so they
 are taken under dynamic schemes only. Spike load is read from each
-device profile's step table (``SpikeTable``).
+device profile's step table (``SpikeTable``). Edges never move, so
+each edge's pose is built once; ``compare_schemes`` gives its runs one
+memo of shadowing and noise draws, so a draw they share is seeded once.
 
 Scheme semantics: ``fixed:<edge>`` pins the task to one edge and runs
 no scheduler at all; ``dynamic:<variant>`` runs the full decision
@@ -235,8 +237,11 @@ class Simulation:
         cfg: ScenarioConfig,
         device_trace: Optional[str] = None,
         net_trace: Optional[str] = None,
+        *,
+        draws: Optional[dict] = None,
     ) -> None:
         self.cfg = cfg
+        self.draws = draws
         self.replay = device_trace is not None or net_trace is not None
         if self.replay and (device_trace is None or net_trace is None):
             raise ConfigError("replay needs both a device trace and a network trace")
@@ -264,6 +269,7 @@ class Simulation:
                 eid: SyntheticDeviceProfiler(
                     profile, seed=cfg.seed, sample_period=cfg.sample_period,
                     noise_amp=cfg.noise_amp,
+                    draws=None if draws is None else draws.setdefault(("noise", cfg.seed), {}),
                 )
                 for eid, profile in self.profiles.items()
             }
@@ -285,6 +291,8 @@ class Simulation:
                     f"network trace names unknown robots: {robots}, unknown edges: {edges}"
                 )
 
+        self.edge_poses = {eid: NodePose(eid, spec.x, spec.y)
+                           for eid, spec in sorted(self.edges.items())}
         self.gateway = Gateway(self.robot_ids, self.edge_ids, 3.0 * cfg.sample_period)
         weights = cfg.effective_weights()
         self.schedulers = {
@@ -390,18 +398,17 @@ class Simulation:
             seq0 += quota
         self._seq = itertools.count(seq0)
 
-    def _pose(self, node_id: str, now: float) -> NodePose:
-        if node_id in self.robots:
-            x, y = self.robots[node_id].pose_at(now)
-            return NodePose(node_id, x, y, now)
-        spec = self.edges[node_id]
-        return NodePose(node_id, spec.x, spec.y, now)
+    def _robot_pose(self, robot_id: str, now: float) -> NodePose:
+        x, y = self.robots[robot_id].pose_at(now)
+        return NodePose(robot_id, x, y, now)
 
     def _link_rssi(self, robot_id: str, edge_id: str, now: float) -> float:
         if self.replay:
             reading = self.gateway.links[robot_id][edge_id]
             return -120.0 if reading is None else reading.rssi
-        return rssi_at(self.cfg.link, self._pose(robot_id, now), self._pose(edge_id, now))
+        # rssi_at reads the time from the robot's pose only.
+        return rssi_at(self.cfg.link, self._robot_pose(robot_id, now),
+                       self.edge_poses[edge_id], self.draws)
 
     def _true_load(self, eid: str, now: float) -> tuple[float, float]:
         """Actual (cpu %, mem MB) on an edge, including task-induced load."""
@@ -432,14 +439,11 @@ class Simulation:
         gateway = self.gateway
         for eid in self.edge_ids:
             gateway.ingest_device(self.profilers[eid].sample(now))
-        # rssi_at reads the time from the robot's pose only, so one pose
-        # per node serves every link sampled now.
-        link = self.cfg.link
-        edge_poses = [self._pose(eid, now) for eid in self.edge_ids]
+        link, draws = self.cfg.link, self.draws
         for rid in self.robot_ids:
-            robot_pose = self._pose(rid, now)
-            for eid, edge_pose in zip(self.edge_ids, edge_poses):
-                rssi = rssi_at(link, robot_pose, edge_pose)
+            robot_pose = self._robot_pose(rid, now)
+            for eid, edge_pose in self.edge_poses.items():
+                rssi = rssi_at(link, robot_pose, edge_pose, draws)
                 gateway.ingest_network(NetworkSnapshot(rid, eid, now, rssi))
 
     def _on_trace_device(self, snap: DeviceSnapshot) -> None:
@@ -732,7 +736,9 @@ def compare_schemes(
 
     Explicit config weights are cleared so each dynamic variant uses
     its own preset; everything else is held identical across schemes,
-    making the per-seed rows directly comparable.
+    making the per-seed rows directly comparable. The runs share one draw
+    memo for this call only, and a repeated (scheme, seed) runs once; each
+    report is byte-identical to ``run_scenario`` on its (scheme, seed).
     """
     if len(schemes) < 2:
         raise ConfigError("compare needs at least two schemes")
@@ -742,11 +748,15 @@ def compare_schemes(
         seeds = [cfg.seed + i for i in range(5)]
     if not seeds:
         raise ConfigError("compare needs at least one seed")
-    runs: list[RunRow] = []
-    for scheme in schemes:
-        for seed in seeds:
+    draws: dict = {}
+    by_run: dict[tuple[str, int], MetricsReport] = {}
+    # Seed by seed, so each seed's noise draws go once its runs are done.
+    for seed in dict.fromkeys(seeds):
+        for scheme in dict.fromkeys(schemes):
             run_cfg = replace(cfg, scheme=scheme, seed=seed, weights=None)
-            runs.append(RunRow(scheme, seed, run_scenario(run_cfg)))
+            by_run[scheme, seed] = Simulation(run_cfg, draws=draws).run()
+        draws.pop(("noise", seed), None)
+    runs = [RunRow(scheme, seed, by_run[scheme, seed]) for scheme in schemes for seed in seeds]
     summary: dict[str, SchemeSummary] = {}
     for scheme in schemes:
         reports = [r.report for r in runs if r.scheme == scheme]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidBoundsError, InvalidSnapshotError, InvalidWeightsError
+from .errors import InvalidBoundsError, InvalidSnapshotError, InvalidWeightsError, require_finite
 
 # Tolerance for the weight-simplex sum check.
 WEIGHT_SUM_TOLERANCE = 1e-9
@@ -130,6 +130,8 @@ class TaskSpec:
     work_per_message: float = 100.0  # CPU-milliseconds at reference speed
 
     def __post_init__(self) -> None:
+        require_finite("", mem_footprint=self.mem_footprint, input_rate=self.input_rate,
+                       work_per_message=self.work_per_message)
         if self.mem_footprint < 0.0:
             raise InvalidSnapshotError(f"mem_footprint must be >= 0, got {self.mem_footprint}")
         if self.input_rate < 0.0:

@@ -117,6 +117,24 @@ def test_bad_weight_sum_exits_one_naming_the_field(tmp_path, capsys):
     assert "weights" in err and "sum" in err
 
 
+@pytest.mark.parametrize("field, path", [
+    ("duration", ("duration",)),
+    ("robots[r2].input_rate", ("robots", 1, "input_rate")),
+    ("link.shadow_sigma", ("link", "shadow_sigma")),
+])
+def test_yaml_nan_exits_one_naming_the_field(tmp_path, capsys, field, path):
+    data = config_to_dict(tiny_config())
+    *parents, key = path
+    node = data
+    for step in parents:
+        node = node[step]
+    node[key] = ".nan"
+    cfg_path = tmp_path / "nan.yaml"
+    cfg_path.write_text(yaml.safe_dump(data).replace("'.nan'", ".nan"), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert f"{field} must be finite, got nan" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "ghost.yaml")]) == 1
     assert "error:" in capsys.readouterr().err

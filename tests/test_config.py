@@ -1,12 +1,14 @@
 """Scenario configuration: validation, presets, and file round-trips."""
 
 import math
+import re
 
 import pytest
 import yaml
 
 from offloadsim.config import (
     EdgeSpec,
+    ExecModel,
     RobotSpec,
     ScenarioConfig,
     SpikeModel,
@@ -18,6 +20,7 @@ from offloadsim.config import (
     parse_scheme,
 )
 from offloadsim.errors import ConfigError
+from offloadsim.netsim import LinkModel
 from offloadsim.profiling import LoadSpike
 from offloadsim.scenarios import flapping_scenario, stress_scenario
 from offloadsim.utility import TaskSpec, Weights
@@ -116,6 +119,49 @@ def test_yaml_spike_with_nan_start_names_the_edge(tmp_path):
     path.write_text(yaml.safe_dump(data).replace("'.nan'", ".nan"), encoding="utf-8")
     with pytest.raises(ConfigError, match=r"edges\[e2\].spikes\[0\].start"):
         load_config(path)
+
+
+def _waypoint(i, v):
+    points = [[0.0, 0.0, 0.0], [5.0, 1.0, 1.0]]
+    points[1][i] = v
+    return RobotSpec("r1", waypoints=tuple(tuple(p) for p in points))
+
+
+# Every float field of the config, by the name its error gives, with a
+# constructor that puts a value there.
+FLOAT_FIELDS = {
+    "sticky_bonus": lambda v: minimal_config(sticky_bonus=v),
+    "decision_period": lambda v: minimal_config(decision_period=v),
+    "sample_period": lambda v: minimal_config(sample_period=v),
+    "noise_amp": lambda v: minimal_config(noise_amp=v),
+    "duration": lambda v: minimal_config(duration=v),
+    "nominal_duration": lambda v: minimal_config(nominal_duration=v),
+    "exec_model.cpu_per_message": lambda v: ExecModel(cpu_per_message=v),
+    "exec_model.task_cpu_cap": lambda v: ExecModel(task_cpu_cap=v),
+    "exec_model.base_latency": lambda v: ExecModel(base_latency=v),
+    "exec_model.exec_tick": lambda v: ExecModel(exec_tick=v),
+    "robots[r1].x": lambda v: RobotSpec("r1", x=v),
+    "robots[r1].y": lambda v: RobotSpec("r1", y=v),
+    "robots[r1].waypoints[1].t": lambda v: _waypoint(0, v),
+    "robots[r1].waypoints[1].x": lambda v: _waypoint(1, v),
+    "robots[r1].waypoints[1].y": lambda v: _waypoint(2, v),
+    "robots[r1].input_rate": lambda v: RobotSpec("r1", input_rate=v),
+    **{f"edges[e1].{name}": (lambda v, name=name: EdgeSpec("e1", **{name: v}))
+       for name in ("x", "y", "cpu_max", "mem_max", "base_cpu", "base_mem", "capacity_factor")},
+    **{f"link.{name}": (lambda v, name=name: LinkModel(**{name: v}))
+       for name in ("ref_power_dbm", "ref_distance", "path_loss_exp", "shadow_sigma")},
+    **{name: (lambda v, name=name: TaskSpec("merge", **{"mem_footprint": 1.0, name: v}))
+       for name in ("mem_footprint", "input_rate", "work_per_message")},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("label", sorted(FLOAT_FIELDS))
+def test_non_finite_float_field_is_rejected_by_name(label, value):
+    # A NaN passes every range check, and an infinite period or rate
+    # runs to meaningless output or overflows later.
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{label} must be finite")):
+        FLOAT_FIELDS[label](value)
 
 
 def test_waypoint_times_must_strictly_increase():

@@ -1,11 +1,16 @@
 """Discrete-event harness: execution law, accounting, and comparisons."""
 
+import json
+import random
 import re
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from offloadsim.cli import render_decisions_csv, render_metrics_csv, summary_dict
 from offloadsim.config import (
     EdgeSpec,
     ExecModel,
@@ -13,7 +18,8 @@ from offloadsim.config import (
     ScenarioConfig,
     SpikeModel,
 )
-from offloadsim import scheduler, simharness
+from offloadsim import netsim, profiling, scheduler, simharness
+from offloadsim.netsim import LinkModel
 from offloadsim.errors import ConfigError, TraceFormatError
 from offloadsim.scenarios import stress_scenario
 from offloadsim.simharness import (
@@ -349,6 +355,122 @@ def test_identical_schemes_produce_identical_rows():
         by_seed.setdefault(row.seed, []).append(row.report)
     for seed, reports in by_seed.items():
         assert all(r == reports[0] for r in reports), seed
+
+
+def _rendered(report) -> tuple[str, str, str]:
+    return (render_metrics_csv(report), render_decisions_csv(report),
+            json.dumps(summary_dict(report), indent=2, sort_keys=True) + "\n")
+
+
+@st.composite
+def shared_draw_cases(draw):
+    """A compare whose runs share shadowing and noise draws in many ways."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 3))
+    coords = st.floats(min_value=0.0, max_value=40.0)
+    robots = []
+    for i in range(1, n + 1):
+        waypoints = ()
+        if draw(st.booleans()):
+            times = sorted(draw(st.sets(st.integers(0, 20), min_size=2, max_size=3)))
+            far = st.floats(min_value=0.0, max_value=200.0)
+            waypoints = tuple((float(t), draw(far), draw(coords)) for t in times)
+        robots.append(RobotSpec(f"r{i}", x=draw(coords), y=draw(coords), waypoints=waypoints,
+                                input_rate=draw(st.sampled_from([None, 0.5, 1.0, 2.0]))))
+    # Identical edges leave the choice to noise and shadowing alone.
+    equal = draw(st.booleans())
+    edges = tuple(
+        EdgeSpec(f"e{i}", x=0.0 if equal else draw(coords), y=0.0 if equal else draw(coords),
+                 base_cpu=20.0 if equal else draw(st.floats(min_value=0.0, max_value=60.0)),
+                 base_mem=500.0)
+        for i in range(1, m + 1)
+    )
+    fixed = [f"fixed:{e.edge_id}" for e in edges]
+    schemes = draw(st.lists(st.sampled_from(fixed + ["dynamic:cpu", "dynamic:both", "dynamic:net"]),
+                            min_size=2, max_size=3))
+    seeds = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    cfg = ScenarioConfig(
+        name="shared",
+        robots=tuple(robots),
+        edges=edges,
+        task=TaskSpec("merge", mem_footprint=64.0, input_rate=1.0, work_per_message=100.0),
+        link=LinkModel(shadow_sigma=draw(st.sampled_from([0.0, 6.0])),
+                       seed=draw(st.sampled_from([0, 7]))),
+        exec_model=ExecModel(message_bytes=draw(st.sampled_from([50_000, 2_000_000]))),
+        noise_amp=draw(st.sampled_from([0.0, 2.0])),
+        duration=float(draw(st.integers(5, 25))),
+        seed=seeds[0],
+    )
+    return cfg, schemes, seeds
+
+
+# Two equal edges at the robots' spot. Shared shadowing of two robots
+# moves a 2 MB message across a rate tier; noise shared between seeds
+# picks the other winner.
+SHARED = ScenarioConfig(
+    name="shared",
+    robots=(RobotSpec("r1"), RobotSpec("r2")),
+    edges=(EdgeSpec("e1", base_mem=500.0), EdgeSpec("e2", base_mem=500.0)),
+    task=TaskSpec("merge", mem_footprint=64.0, input_rate=1.0, work_per_message=100.0),
+    link=LinkModel(shadow_sigma=6.0, seed=7),
+    exec_model=ExecModel(message_bytes=2_000_000),
+    noise_amp=0.0,
+    duration=5.0,
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=shared_draw_cases())
+@example(case=(SHARED, ["fixed:e1", "fixed:e1"], [1, 1]))
+@example(case=(replace(SHARED, robots=(RobotSpec("r1"),), link=LinkModel(shadow_sigma=0.0),
+                       noise_amp=2.0), ["fixed:e1", "dynamic:both", "dynamic:cpu"], [1, 3, 1]))
+def test_compare_reports_match_the_same_runs_made_alone(case):
+    cfg, schemes, seeds = case
+    result = compare_schemes(cfg, schemes, seeds=seeds)
+    for row in result.runs:
+        alone = run_scenario(replace(cfg, scheme=row.scheme, seed=row.seed, weights=None))
+        assert _rendered(row.report) == _rendered(alone), (row.scheme, row.seed)
+
+
+def _count_seeding(monkeypatch) -> list:
+    """Record the seed of every shadowing and noise ``Random`` built from now on."""
+    seeds = []
+
+    class Counting(random.Random):
+        def __init__(self, x=None):
+            seeds.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(netsim.random, "Random", Counting)
+    monkeypatch.setattr(profiling, "Random", Counting)
+    return seeds
+
+
+def _drawing_config():
+    return two_edge_config(link=LinkModel(shadow_sigma=2.0), noise_amp=2.0, duration=20.0)
+
+
+def test_compare_seeds_each_draw_once_per_call(monkeypatch):
+    cfg = _drawing_config()
+    schemes = ["fixed:e1", "dynamic:cpu", "dynamic:both"]
+    seeds = _count_seeding(monkeypatch)
+    compare_schemes(cfg, schemes, seeds=[1, 2])
+    first = list(seeds)
+    assert any("/shadow/" in s for s in first) and any("/noise/" in s for s in first)
+    assert max(Counter(first).values()) == 1
+    # The memo dies with its call: the same compare seeds every draw again.
+    seeds.clear()
+    compare_schemes(cfg, schemes, seeds=[1, 2])
+    assert seeds == first
+
+
+def test_a_single_run_seeds_every_draw_it_makes(monkeypatch):
+    seeds = _count_seeding(monkeypatch)
+    run_scenario(_drawing_config())
+    # 21 samples x (4 noise + 4 shadowing) draws, plus one shadowing draw
+    # for each of the 80 messages: the count from before any memo.
+    assert len(seeds) == 21 * 8 + 80
+    assert len(set(seeds)) < len(seeds)
 
 
 # ------------------------------------------------------------ event heap
