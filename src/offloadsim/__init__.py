@@ -40,7 +40,7 @@ from .errors import (
     OffloadError,
     TraceFormatError,
 )
-from .netsim import LinkModel, Message, NodePose, deliver, rssi_at, throughput_of
+from .netsim import LinkModel, NodePose, deliver, path_loss_dbm, rssi_at, throughput_of
 from .profiling import (
     Gateway,
     LoadSpike,
@@ -76,7 +76,6 @@ __all__ = [
     "InvalidWeightsError",
     "LinkModel",
     "LoadSpike",
-    "Message",
     "MetricsReport",
     "NetworkBounds",
     "NetworkSnapshot",
@@ -109,6 +108,7 @@ __all__ = [
     "load_network_trace",
     "memory_utility",
     "parse_scheme",
+    "path_loss_dbm",
     "quorum_size",
     "rssi_at",
     "rssi_utility",

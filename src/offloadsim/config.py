@@ -342,6 +342,13 @@ def _check_keys(data: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
 
 
+def _int_field(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):  # NaN, infinity, non-numbers
+        raise ConfigError(f"{name} must be a finite integer, got {value!r}") from None
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a plain dict."""
     if not isinstance(data, dict):
@@ -390,7 +397,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         ref_distance=float(link_d.get("ref_distance", 1.0)),
         path_loss_exp=float(link_d.get("path_loss_exp", 2.2)),
         shadow_sigma=float(link_d.get("shadow_sigma", 2.0)),
-        seed=int(link_d.get("seed", 0)),
+        seed=_int_field(link_d.get("seed", 0), "link.seed"),
     )
 
     spike_model = None
@@ -409,7 +416,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     exec_model = ExecModel(
         cpu_per_message=float(exec_d.get("cpu_per_message", 2.0)),
         task_cpu_cap=float(exec_d.get("task_cpu_cap", 35.0)),
-        message_bytes=int(exec_d.get("message_bytes", 50_000)),
+        message_bytes=_int_field(exec_d.get("message_bytes", 50_000), "exec_model.message_bytes"),
         base_latency=float(exec_d.get("base_latency", 0.005)),
         exec_tick=float(exec_d.get("exec_tick", 0.1)),
     )
@@ -470,7 +477,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         nominal_duration=(
             None if data.get("nominal_duration") is None else float(data["nominal_duration"])
         ),
-        seed=int(data.get("seed", 1)),
+        seed=_int_field(data.get("seed", 1), "seed"),
     )
 
 

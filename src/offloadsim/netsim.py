@@ -1,10 +1,13 @@
 """Radio link and message transport model.
 
-Signal strength follows a log-distance path-loss law with optional
-seeded shadowing noise, and throughput is a step function of RSSI in
+Signal strength is a log-distance path loss (``path_loss_dbm``) plus
+optional seeded shadowing noise (``rssi_at``). The two are separate
+calls so that a caller can compute the path loss of a link whose ends
+never move once and reuse it. Throughput is a step function of RSSI in
 the shape of discrete wireless rate tiers. Message delivery time is
 base latency plus serialization at that throughput; a link below the
-usable RSSI floor drops the message instead.
+usable RSSI floor drops the message instead. ``deliver`` takes a
+message's size, not a message object.
 
 Shadowing is a pure function of (seed, endpoints, sample time), not a
 stateful RNG stream, so evaluating the same link twice at the same
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError, require_finite
 
@@ -80,30 +83,13 @@ class LinkModel:
             raise ConfigError(f"shadow_sigma must be >= 0, got {self.shadow_sigma}")
 
 
-@dataclass(frozen=True)
-class Message:
-    """A task payload in flight from a robot to an edge resource."""
-
-    src: str
-    dst: str
-    size_bytes: int
-    created_at: float
-    seq: int = 0
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ConfigError(f"message size must be positive, got {self.size_bytes}")
-
-
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     """Outcome of handing a message to the channel.
 
     ``arrival_at`` is None when the link was below the usable floor and
     the message was dropped.
     """
 
-    message: Message
     sent_at: float
     throughput_mbps: float
     arrival_at: Optional[float]
@@ -129,18 +115,25 @@ def _shadowing_db(link: LinkModel, src: str, dst: str, t: float,
     return value
 
 
-def rssi_at(link: LinkModel, src_pose: NodePose, dst_pose: NodePose,
-            draws: Optional[dict] = None) -> float:
-    """Received signal strength in dBm between two poses.
+def path_loss_dbm(link: LinkModel, x0: float, y0: float, x1: float, y1: float) -> float:
+    """Mean received power in dBm between two points, before shadowing.
 
-    Distances inside the reference distance clamp to the reference, and
-    the result clamps into the physically plausible [-120, -20] dBm
-    window. Shadowing is sampled at the source pose's timestamp (memoized in ``draws``).
+    Distances inside the reference distance clamp to the reference.
     """
-    d = math.hypot(src_pose.x - dst_pose.x, src_pose.y - dst_pose.y)
+    d = math.hypot(x0 - x1, y0 - y1)
     d = max(d, link.ref_distance)
-    rssi = link.ref_power_dbm - 10.0 * link.path_loss_exp * math.log10(d / link.ref_distance)
-    rssi += _shadowing_db(link, src_pose.node_id, dst_pose.node_id, src_pose.t, draws)
+    return link.ref_power_dbm - 10.0 * link.path_loss_exp * math.log10(d / link.ref_distance)
+
+
+def rssi_at(link: LinkModel, path_loss: float, src: str, dst: str, t: float,
+            draws: Optional[dict] = None) -> float:
+    """Received signal strength in dBm on the link src -> dst at time t.
+
+    ``path_loss`` is the link's ``path_loss_dbm``; the shadowing drawn
+    for (src, dst, t) is added (memoized in ``draws``) and the result
+    clamps into the physically plausible [-120, -20] dBm window.
+    """
+    rssi = path_loss + _shadowing_db(link, src, dst, t, draws)
     return max(RSSI_FLOOR_DBM, min(RSSI_CEILING_DBM, rssi))
 
 
@@ -155,19 +148,19 @@ def throughput_of(rssi: float, min_rssi: float = -85.0) -> float:
 
 
 def deliver(
-    msg: Message,
+    size_bytes: int,
     rssi: float,
     now: float,
     base_latency: float = 0.005,
     min_rssi: float = -85.0,
 ) -> Delivery:
-    """Compute when a message sent now arrives, or drop it.
+    """Compute when a message of size_bytes sent now arrives, or drop it.
 
     Arrival is ``now + base_latency + bits / throughput``; a zero-rate
     link yields a drop rather than an infinite delay.
     """
     rate = throughput_of(rssi, min_rssi=min_rssi)
     if rate <= 0.0:
-        return Delivery(msg, sent_at=now, throughput_mbps=0.0, arrival_at=None)
-    tx_time = (msg.size_bytes * 8.0) / (rate * 1e6)
-    return Delivery(msg, sent_at=now, throughput_mbps=rate, arrival_at=now + base_latency + tx_time)
+        return Delivery(now, 0.0, None)
+    tx_time = (size_bytes * 8.0) / (rate * 1e6)
+    return Delivery(now, rate, now + base_latency + tx_time)

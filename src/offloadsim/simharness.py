@@ -31,7 +31,12 @@ fixed point of ``edge_execute``) and nothing before the first
 placement. Only the decision round reads synthetic samples, so they
 are taken under dynamic schemes only. Spike load is read from each
 device profile's step table (``SpikeTable``). Edges never move, so
-each edge's pose is built once; ``compare_schemes`` gives its runs one
+each edge's pose is built once, and a link whose robot has no waypoints
+computes its path loss on first use and keeps it; a robot with
+waypoints recomputes it from its pose at each use. A message is only
+its robot's id in the pre-placement buffer and in an arrival event, so
+sends and arrivals build no message objects. ``run()`` calls each
+``_on_<kind>`` handler directly. ``compare_schemes`` gives its runs one
 memo of shadowing and noise draws, so a draw they share is seeded once.
 
 Scheme semantics: ``fixed:<edge>`` pins the task to one edge and runs
@@ -52,7 +57,7 @@ from typing import Optional
 from .config import EdgeSpec, ScenarioConfig, SpikeModel, parse_scheme
 from .consensus import ConsensusExecutor, Decision
 from .errors import ConfigError, TraceFormatError
-from .netsim import Message, NodePose, deliver, rssi_at
+from .netsim import NodePose, deliver, path_loss_dbm, rssi_at
 from .profiling import (
     DeviceProfile,
     Gateway,
@@ -72,6 +77,11 @@ P_ARRIVAL = 1
 P_EXEC = 2
 P_DECISION = 3
 P_METRICS = 4
+
+# Every kind of event run() dispatches to its handler: _on_<kind>(t) for
+# a periodic kind, _on_<kind>(t, payload) for the others.
+EVENT_KINDS = ("sample", "trace_device", "trace_net", "send", "arrival", "exec",
+               "decision", "metrics")
 
 # Window for smoothing the per-edge processing rate into a CPU charge.
 RATE_SMOOTHING_S = 1.0
@@ -138,19 +148,21 @@ def edge_execute(
     Spare capacity is not banked across idle gaps.
     """
     rate = state.capacity_factor * max(0.0, 1.0 - cpu_used / 100.0) * reference_rate
-    state.work_credit += rate * dt
+    credit = state.work_credit + rate * dt
+    queues = state.queues
     processed = 0
-    while state.work_credit >= 1.0:
-        waiting = [r for r, n in state.queues.items() if n > 0]
-        if not waiting:
+    while credit >= 1.0:
+        target, depth = None, 0
+        for rid, n in queues.items():
+            if n > depth or (n == depth and n > 0 and rid < target):
+                target, depth = rid, n
+        if target is None:
             break
-        target = min(waiting, key=lambda rid: (-state.queues[rid], rid))
-        state.queues[target] -= 1
+        queues[target] = depth - 1
         state.merge_credits[target] += 1
-        state.work_credit -= 1.0
+        credit -= 1.0
         processed += 1
-    if not any(state.queues.values()):
-        state.work_credit = 0.0
+    state.work_credit = credit if any(queues.values()) else 0.0
     merges = min(state.merge_credits.values()) if state.merge_credits else 0
     if merges > 0:
         for rid in state.merge_credits:
@@ -293,6 +305,10 @@ class Simulation:
 
         self.edge_poses = {eid: NodePose(eid, spec.x, spec.y)
                            for eid, spec in sorted(self.edges.items())}
+        # Path loss per edge of each robot without waypoints, filled on first use.
+        self._static_loss: dict[str, dict[str, float]] = {
+            rid: {} for rid in self.robot_ids if not self.robots[rid].waypoints
+        }
         self.gateway = Gateway(self.robot_ids, self.edge_ids, 3.0 * cfg.sample_period)
         weights = cfg.effective_weights()
         self.schedulers = {
@@ -316,13 +332,15 @@ class Simulation:
             for eid in self.edge_ids
         }
         self.reference_rate = 1000.0 / cfg.task.work_per_message
+        self.alpha = min(1.0, cfg.exec_model.exec_tick / RATE_SMOOTHING_S)
+        self.message_bits = cfg.exec_model.message_bytes * 8.0
 
         # message accounting
         self.generated = 0
         self.processed = 0
         self.dropped = 0
         self.in_flight = 0
-        self.pre_host_buffer: list[Message] = []
+        self.pre_host_buffer: list[str] = []  # robot id of each message sent before placement
         self.total_quota = cfg.total_quota()
         self.host: Optional[str] = None
         if not self.dynamic:
@@ -398,35 +416,41 @@ class Simulation:
             seq0 += quota
         self._seq = itertools.count(seq0)
 
-    def _robot_pose(self, robot_id: str, now: float) -> NodePose:
+    def _path_loss(self, robot_id: str, edge_id: str, now: float) -> float:
         x, y = self.robots[robot_id].pose_at(now)
-        return NodePose(robot_id, x, y, now)
+        edge = self.edge_poses[edge_id]
+        return path_loss_dbm(self.cfg.link, x, y, edge.x, edge.y)
 
     def _link_rssi(self, robot_id: str, edge_id: str, now: float) -> float:
         if self.replay:
             reading = self.gateway.links[robot_id][edge_id]
             return -120.0 if reading is None else reading.rssi
-        # rssi_at reads the time from the robot's pose only.
-        return rssi_at(self.cfg.link, self._robot_pose(robot_id, now),
-                       self.edge_poses[edge_id], self.draws)
+        static = self._static_loss.get(robot_id)
+        if static is None:  # the robot moves
+            loss = self._path_loss(robot_id, edge_id, now)
+        else:
+            loss = static.get(edge_id)
+            if loss is None:
+                loss = static[edge_id] = self._path_loss(robot_id, edge_id, now)
+        return rssi_at(self.cfg.link, loss, robot_id, edge_id, now, self.draws)
 
-    def _true_load(self, eid: str, now: float) -> tuple[float, float]:
-        """Actual (cpu %, mem MB) on an edge, including task-induced load."""
+    def _true_cpu(self, eid: str, now: float) -> float:
+        """Actual cpu % on an edge, including task-induced load."""
         profile = self.profiles[eid]
-        st = self.exec_states[eid]
-        spike_cpu, spike_mem = profile.spike_table.at(now)
         if self.replay:
             reading = self.gateway.devices[eid]
             cpu = profile.base_cpu if reading is None else reading.cpu_used
         else:
-            cpu = profile.base_cpu + spike_cpu + st.task_cpu
-        mem = profile.base_mem + spike_mem
-        if st.hosting:
+            cpu = profile.base_cpu + profile.spike_table.at(now)[0] + self.exec_states[eid].task_cpu
+        return max(0.0, min(profile.cpu_max, cpu))
+
+    def _true_load(self, eid: str, now: float) -> tuple[float, float]:
+        """Actual (cpu %, mem MB) on an edge, including task-induced load."""
+        profile = self.profiles[eid]
+        mem = profile.base_mem + profile.spike_table.at(now)[1]
+        if self.exec_states[eid].hosting:
             mem += self.cfg.task.mem_footprint
-        return (
-            max(0.0, min(profile.cpu_max, cpu)),
-            max(0.0, min(profile.mem_max, mem)),
-        )
+        return self._true_cpu(eid, now), max(0.0, min(profile.mem_max, mem))
 
     # -------------------------------------------------------------- events
 
@@ -439,59 +463,47 @@ class Simulation:
         gateway = self.gateway
         for eid in self.edge_ids:
             gateway.ingest_device(self.profilers[eid].sample(now))
-        link, draws = self.cfg.link, self.draws
         for rid in self.robot_ids:
-            robot_pose = self._robot_pose(rid, now)
-            for eid, edge_pose in self.edge_poses.items():
-                rssi = rssi_at(link, robot_pose, edge_pose, draws)
-                gateway.ingest_network(NetworkSnapshot(rid, eid, now, rssi))
+            for eid in self.edge_ids:
+                gateway.ingest_network(
+                    NetworkSnapshot(rid, eid, now, self._link_rssi(rid, eid, now)))
 
-    def _on_trace_device(self, snap: DeviceSnapshot) -> None:
+    def _on_trace_device(self, now: float, snap: DeviceSnapshot) -> None:
         self.gateway.ingest_device(snap)
 
-    def _on_trace_net(self, snap: NetworkSnapshot) -> None:
+    def _on_trace_net(self, now: float, snap: NetworkSnapshot) -> None:
         self.gateway.ingest_network(snap)
 
-    def _on_send(self, now: float, robot_id: str, k: int) -> None:
+    def _on_send(self, now: float, send: tuple[str, int]) -> None:
+        robot_id, k = send  # the robot's k-th message
         rate, quota, seq0 = self._sends[robot_id]
         if k < quota:
             self._push((k + 1) / rate, P_ARRIVAL, "send", (robot_id, k + 1), seq=seq0 + k)
-        msg = Message(
-            src=robot_id,
-            dst=self.host or "?",
-            size_bytes=self.cfg.exec_model.message_bytes,
-            created_at=now,
-            seq=k,
-        )
         self.generated += 1
         if self.host is None:
-            self.pre_host_buffer.append(msg)
+            self.pre_host_buffer.append(robot_id)
             return
-        self._transmit(msg, now)
+        self._transmit(robot_id, now)
 
-    def _transmit(self, msg: Message, now: float) -> None:
-        rssi = self._link_rssi(msg.src, self.host, now)
-        outcome = deliver(
-            msg, rssi, now,
-            base_latency=self.cfg.exec_model.base_latency,
-            min_rssi=self.cfg.bounds.min_rssi,
-        )
+    def _transmit(self, robot_id: str, now: float) -> None:
+        em = self.cfg.exec_model
+        outcome = deliver(em.message_bytes, self._link_rssi(robot_id, self.host, now), now,
+                          em.base_latency, self.cfg.bounds.min_rssi)
         if outcome.dropped:
             self.dropped += 1
             self._check_completion(now)
             return
         self.in_flight += 1
-        self._push(outcome.arrival_at, P_ARRIVAL, "arrival", msg)
+        self._push(outcome.arrival_at, P_ARRIVAL, "arrival", robot_id)
 
-    def _on_arrival(self, now: float, msg: Message) -> None:
+    def _on_arrival(self, now: float, robot_id: str) -> None:
         # The stream follows the task: a message in flight during a
         # switch lands on the current host.
         self.in_flight -= 1
         host = self.host
-        self.exec_states[host].queues[msg.src] += 1
-        bits = msg.size_bytes * 8.0
-        self.window_bits[host] += bits
-        self.total_bits[host] += bits
+        self.exec_states[host].queues[robot_id] += 1
+        self.window_bits[host] += self.message_bits
+        self.total_bits[host] += self.message_bits
 
     def _on_exec(self, now: float) -> None:
         # Only the host holds work: arrivals land on it and apply_remap
@@ -502,8 +514,8 @@ class Simulation:
             em = self.cfg.exec_model
             dt = em.exec_tick
             st = self.exec_states[host]
-            cpu_used, _ = self._true_load(host, now)
-            processed, merges = edge_execute(st, cpu_used, dt, self.reference_rate)
+            processed, merges = edge_execute(st, self._true_cpu(host, now), dt,
+                                             self.reference_rate)
             self.processed += processed
             self.merged_total += merges
             # Processing consumes CPU in proportion to throughput:
@@ -513,8 +525,7 @@ class Simulation:
             # about a second because per-tick message counts are
             # integers and the raw quotient would flap between zero
             # and one message per tick.
-            alpha = min(1.0, dt / RATE_SMOOTHING_S)
-            st.rate_ema += alpha * (processed / dt - st.rate_ema)
+            st.rate_ema += self.alpha * (processed / dt - st.rate_ema)
             st.task_cpu = min(
                 em.task_cpu_cap,
                 em.cpu_per_message * st.rate_ema / st.capacity_factor,
@@ -563,8 +574,8 @@ class Simulation:
             apply_remap(self.exec_states[old], self.exec_states[new_host])
         if old is None and self.pre_host_buffer:
             buffered, self.pre_host_buffer = self.pre_host_buffer, []
-            for msg in buffered:
-                self._transmit(msg, now)
+            for robot_id in buffered:
+                self._transmit(robot_id, now)
 
     def _on_metrics(self, now: float) -> None:
         cpu_row: dict[str, float] = {}
@@ -609,25 +620,20 @@ class Simulation:
     # ----------------------------------------------------------------- run
 
     def run(self) -> MetricsReport:
-        handlers = {
-            "sample": lambda now, _: self._on_sample(now),
-            "trace_device": lambda now, snap: self._on_trace_device(snap),
-            "trace_net": lambda now, snap: self._on_trace_net(snap),
-            "send": lambda now, payload: self._on_send(now, *payload),
-            "arrival": lambda now, msg: self._on_arrival(now, msg),
-            "exec": lambda now, _: self._on_exec(now),
-            "decision": lambda now, _: self._on_decision(now),
-            "metrics": lambda now, _: self._on_metrics(now),
-        }
+        handlers = {kind: getattr(self, f"_on_{kind}") for kind in EVENT_KINDS}
         periods = self._periods
-        while self._heap and not self._done:
-            t, prio, _, kind, payload = heapq.heappop(self._heap)
-            if t > self._effective_duration + 1e-9:
+        heap, push, horizon = self._heap, self._push, self._effective_duration
+        while heap and not self._done:
+            t, prio, _, kind, payload = heapq.heappop(heap)
+            if t > horizon + 1e-9:
                 break
-            handlers[kind](t, payload)
             period = periods.get(kind)
-            if period is not None and t + period <= self._effective_duration:
-                self._push(t + period, prio, kind)
+            if period is None:
+                handlers[kind](t, payload)
+            else:
+                handlers[kind](t)
+                if t + period <= horizon:
+                    push(t + period, prio, kind)
         return self._report()
 
     def _report(self) -> MetricsReport:

@@ -172,12 +172,6 @@ def rssi_utility(reading: NetworkSnapshot, bounds: NetworkBounds) -> float:
 
 
 def total_utility(cpu: float, mem: float, net: float, weights: Weights) -> float:
-    """Weighted sum of the three axis scores.
-
-    The weight vector is re-validated here so a hand-built tuple that
-    skipped the dataclass cannot sneak past the simplex constraint.
-    """
-    if isinstance(weights, tuple):
-        weights = Weights(*weights)
+    """Weighted sum of the three axis scores."""
     return weights.w_cpu * cpu + weights.w_mem * mem + weights.w_net * net
 

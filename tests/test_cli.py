@@ -135,6 +135,25 @@ def test_yaml_nan_exits_one_naming_the_field(tmp_path, capsys, field, path):
     assert f"{field} must be finite, got nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", ".nan"),
+    ("seed", ".inf"),
+    ("link.seed", ".inf"),
+    ("exec_model.message_bytes", ".inf"),
+])
+def test_yaml_non_finite_integer_exits_one_naming_the_field(tmp_path, capsys, field, value):
+    data = config_to_dict(tiny_config())
+    *parents, key = field.split(".")
+    node = data
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(yaml.safe_dump(data).replace(f"'{value}'", value), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert f"{field} must be a finite integer, got {value[1:]}" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "ghost.yaml")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -26,7 +26,7 @@ from offloadsim.config import (
     ScenarioConfig,
     SpikeModel,
 )
-from offloadsim.netsim import LinkModel, Message
+from offloadsim.netsim import LinkModel
 from offloadsim.profiling import LoadSpike
 from offloadsim.simharness import (
     P_ARRIVAL,
@@ -79,19 +79,13 @@ class EveryWorkSimulation(Simulation):
             for k in range(1, cfg.message_quota(spec) + 1):
                 self._push(k / rate, P_ARRIVAL, "send", (rid, k))
 
-    def _on_send(self, now: float, robot_id: str, k: int) -> None:
-        msg = Message(
-            src=robot_id,
-            dst=self.host or "?",
-            size_bytes=self.cfg.exec_model.message_bytes,
-            created_at=now,
-            seq=k,
-        )
+    def _on_send(self, now: float, send: tuple[str, int]) -> None:
+        robot_id, _ = send
         self.generated += 1
         if self.host is None:
-            self.pre_host_buffer.append(msg)
+            self.pre_host_buffer.append(robot_id)
             return
-        self._transmit(msg, now)
+        self._transmit(robot_id, now)
 
     def _on_exec(self, now: float) -> None:
         em = self.cfg.exec_model

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from offloadsim.config import ExecModel
 from offloadsim.errors import ConfigError
 from offloadsim.netsim import (
     LinkModel,
-    Message,
-    NodePose,
     deliver,
+    path_loss_dbm,
     rssi_at,
     throughput_of,
 )
@@ -26,46 +26,47 @@ def link(**kw):
     return LinkModel(**defaults)
 
 
-def pose(node_id, x, y=0.0, t=0.0):
-    return NodePose(node_id, x, y, t)
+def rssi(lk, d, src="r1", t=0.0):
+    """RSSI from src at the origin to e1 at distance d along x, at time t."""
+    return rssi_at(lk, path_loss_dbm(lk, 0.0, 0.0, d, 0.0), src, "e1", t)
 
 
 # ------------------------------------------------------------------- rssi
 
 def test_rssi_one_decade_of_distance_costs_twenty_db_at_exp_two():
     # -40 - 10 * 2 * log10(10 / 1)
-    got = rssi_at(link(), pose("r1", 0.0), pose("e1", 10.0))
+    got = rssi(link(), 10.0)
     assert got == pytest.approx(-60.0, abs=TOL)
 
 
 def test_rssi_at_reference_distance_is_reference_power():
-    got = rssi_at(link(), pose("r1", 0.0), pose("e1", 1.0))
+    got = rssi(link(), 1.0)
     assert got == pytest.approx(-40.0, abs=TOL)
 
 
 def test_rssi_inside_reference_distance_clamps_to_reference():
-    at_ref = rssi_at(link(), pose("r1", 0.0), pose("e1", 1.0))
-    closer = rssi_at(link(), pose("r1", 0.0), pose("e1", 0.01))
+    at_ref = rssi(link(), 1.0)
+    closer = rssi(link(), 0.01)
     assert closer == at_ref
 
 
 def test_rssi_clamps_to_plausible_window():
-    far = rssi_at(link(), pose("r1", 0.0), pose("e1", 1e6))
+    far = rssi(link(), 1e6)
     assert far == -120.0
 
 
 def test_rssi_with_shadowing_is_repeatable():
     shadowed = link(shadow_sigma=4.0)
-    a = rssi_at(shadowed, pose("r1", 0.0, t=3.5), pose("e1", 25.0))
-    b = rssi_at(shadowed, pose("r1", 0.0, t=3.5), pose("e1", 25.0))
+    a = rssi(shadowed, 25.0, t=3.5)
+    b = rssi(shadowed, 25.0, t=3.5)
     assert a == b
 
 
 def test_rssi_shadowing_varies_over_time_and_links():
     shadowed = link(shadow_sigma=4.0)
-    base = rssi_at(shadowed, pose("r1", 0.0, t=0.0), pose("e1", 25.0))
-    later = rssi_at(shadowed, pose("r1", 0.0, t=1.0), pose("e1", 25.0))
-    other = rssi_at(shadowed, pose("r2", 0.0, t=0.0), pose("e1", 25.0))
+    base = rssi(shadowed, 25.0, t=0.0)
+    later = rssi(shadowed, 25.0, t=1.0)
+    other = rssi(shadowed, 25.0, "r2", t=0.0)
     assert base != later
     assert base != other
 
@@ -82,8 +83,8 @@ def test_link_model_validation():
 @given(d1=st.floats(min_value=0.1, max_value=1e4), d2=st.floats(min_value=0.1, max_value=1e4))
 def test_rssi_monotone_nonincreasing_in_distance(d1, d2):
     d1, d2 = sorted((d1, d2))
-    near = rssi_at(link(), pose("r1", 0.0), pose("e1", d1))
-    far = rssi_at(link(), pose("r1", 0.0), pose("e1", d2))
+    near = rssi(link(), d1)
+    far = rssi(link(), d2)
     assert near >= far
 
 
@@ -118,23 +119,24 @@ def test_throughput_monotone_in_rssi(r1, r2):
 
 def test_delivery_time_is_latency_plus_serialization():
     # 1 MB at 6 Mbps after a 5 ms base latency: 0.005 + 8e6 / 6e6 seconds
-    msg = Message("r1", "e1", size_bytes=1_000_000, created_at=0.0)
-    out = deliver(msg, rssi=-75.0, now=0.0, base_latency=0.005)
+    out = deliver(size_bytes=1_000_000, rssi=-75.0, now=0.0, base_latency=0.005)
     assert out.throughput_mbps == 6.0
     assert out.arrival_at == pytest.approx(0.005 + 8e6 / 6e6, abs=TOL)
 
 
 def test_delivery_below_floor_drops():
-    msg = Message("r1", "e1", size_bytes=1_000, created_at=0.0)
-    out = deliver(msg, rssi=-95.0, now=2.0)
+    out = deliver(size_bytes=1_000, rssi=-95.0, now=2.0)
     assert out.dropped
     assert out.arrival_at is None
     assert out.throughput_mbps == 0.0
 
 
 def test_message_size_must_be_positive():
-    with pytest.raises(ConfigError):
-        Message("r1", "e1", size_bytes=0, created_at=0.0)
+    # deliver trusts its size; the config's exec model is where it is checked.
+    with pytest.raises(ConfigError, match="message_bytes"):
+        ExecModel(message_bytes=0)
+    with pytest.raises(ConfigError, match="message_bytes"):
+        ExecModel(message_bytes=-1)
 
 
 @given(
@@ -143,7 +145,6 @@ def test_message_size_must_be_positive():
     now=st.floats(min_value=0.0, max_value=1e6),
 )
 def test_delivery_respects_causality(size, rssi, now):
-    msg = Message("r1", "e1", size_bytes=size, created_at=now)
-    out = deliver(msg, rssi=rssi, now=now, base_latency=0.005)
+    out = deliver(size_bytes=size, rssi=rssi, now=now, base_latency=0.005)
     assert not out.dropped
     assert out.arrival_at >= now + 0.005

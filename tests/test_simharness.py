@@ -130,6 +130,72 @@ def test_merge_needs_a_message_from_every_robot():
     assert st.merge_credits == {"r1": 2, "r2": 0}
 
 
+def reference_edge_execute(state, cpu_used, dt, reference_rate):
+    """``edge_execute`` as it was written before its one-pass deepest-queue scan."""
+    rate = state.capacity_factor * max(0.0, 1.0 - cpu_used / 100.0) * reference_rate
+    state.work_credit += rate * dt
+    processed = 0
+    while state.work_credit >= 1.0:
+        waiting = [r for r, n in state.queues.items() if n > 0]
+        if not waiting:
+            break
+        target = min(waiting, key=lambda rid: (-state.queues[rid], rid))
+        state.queues[target] -= 1
+        state.merge_credits[target] += 1
+        state.work_credit -= 1.0
+        processed += 1
+    if not any(state.queues.values()):
+        state.work_credit = 0.0
+    merges = min(state.merge_credits.values()) if state.merge_credits else 0
+    if merges > 0:
+        for rid in state.merge_credits:
+            state.merge_credits[rid] -= merges
+        state.merged_total += merges
+    return processed, merges
+
+
+@st.composite
+def exec_cases(draw):
+    # Ids in drawn (unsorted) order; "r10" < "r2" tests string order, not numeric.
+    ids = draw(st.lists(st.sampled_from(["r3", "r1", "r10", "r2", "a", "r02"]),
+                        unique=True, max_size=5))
+    queues = {rid: draw(st.integers(0, 6)) for rid in ids}
+    credits = {rid: draw(st.integers(0, 3)) for rid in ids}
+    state = dict(
+        edge_id="e1",
+        capacity_factor=draw(st.sampled_from([0.5, 1.0, 1.5])),
+        work_credit=draw(st.floats(min_value=0.0, max_value=4.0)),
+        merged_total=draw(st.integers(0, 5)),
+    )
+    ticks = draw(st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=120.0),
+                  st.sampled_from([0.05, 0.1, 0.25, 1.0]),
+                  st.lists(st.sampled_from(ids), max_size=4) if ids else st.just([])),
+        min_size=1, max_size=6,
+    ))
+    reference_rate = draw(st.sampled_from([2.5, 12.5, 25.0]))
+    return queues, credits, state, ticks, reference_rate
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=exec_cases())
+@example(case=({"r2": 2, "r1": 2, "r3": 1}, {"r2": 0, "r1": 0, "r3": 0},
+               dict(edge_id="e1", capacity_factor=1.0, work_credit=0.0, merged_total=0),
+               [(0.0, 0.3, []), (0.0, 1.0, ["r3"])], 10.0))
+def test_edge_execute_matches_its_reference_body(case):
+    queues, credits, fields, ticks, reference_rate = case
+    state = EdgeExecState(queues=dict(queues), merge_credits=dict(credits), **fields)
+    expected = EdgeExecState(queues=dict(queues), merge_credits=dict(credits), **fields)
+    for cpu_used, dt, arrivals in ticks:
+        for rid in arrivals:  # work lands between ticks, as arrivals do
+            state.queues[rid] += 1
+            expected.queues[rid] += 1
+        got = edge_execute(state, cpu_used, dt, reference_rate)
+        assert got == reference_edge_execute(expected, cpu_used, dt, reference_rate)
+        assert state == expected
+        assert list(state.queues) == list(expected.queues)
+
+
 # -------------------------------------------------------- spike injection
 
 def test_spike_injection_is_pure_in_seed():
@@ -577,6 +643,23 @@ def test_event_queue_is_bounded_by_the_fleet_not_the_horizon():
     assert _peak_queue_length(replace(cfg, duration=600.0)) == _peak_queue_length(
         replace(cfg, duration=3600.0)
     )
+
+
+@pytest.mark.parametrize("duration", [600.0, 3600.0])
+def test_static_links_compute_path_loss_once_and_build_no_poses(monkeypatch, duration):
+    cfg = replace(stress_scenario(seed=1, scheme="dynamic:both"),
+                  duration=duration, nominal_duration=None)
+    assert not any(r.waypoints for r in cfg.robots)  # every link is static
+    sim = Simulation(cfg)
+    losses, poses = [], []
+    path_loss = simharness.path_loss_dbm
+    monkeypatch.setattr(simharness, "path_loss_dbm",
+                        lambda *args: losses.append(args) or path_loss(*args))
+    monkeypatch.setattr(netsim.NodePose, "__post_init__", lambda pose: poses.append(pose))
+    report = sim.run()
+    assert report.generated > 0 and sim.iteration > 0  # sends and samples happened
+    assert 0 < len(losses) <= len(cfg.robots) * len(cfg.edges)
+    assert poses == []
 
 
 def test_simulation_shares_one_spike_table_per_edge():

@@ -123,11 +123,6 @@ def test_total_utility_mixed_weights():
     assert got == pytest.approx(0.53, abs=TOL)
 
 
-def test_total_utility_rejects_off_simplex_weights():
-    with pytest.raises(InvalidWeightsError):
-        total_utility(0.5, 0.5, 0.5, (0.5, 0.6, 0.2))
-
-
 @pytest.mark.parametrize(
     "w",
     [(-0.1, 0.6, 0.5), (1.1, -0.05, -0.05), (0.2, 0.2, 0.2), (0.4, 0.4, 0.4)],
