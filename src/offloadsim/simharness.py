@@ -22,8 +22,11 @@ each send keeps the insertion sequence number it would have had if
 every send were queued up front (robot blocks in ascending id, right
 after the first periodic events), so sends tie-break against arrivals
 exactly as before and the queue holds at most one send per robot.
-Replayed trace rows are still queued up front; the store's latest trace
-readings are also the replayed CPU load and link RSSI.
+Replayed trace rows are queued one ahead per stream (each edge's device
+rows, then all network rows) under the same rule, so the queue holds at
+most one row per stream; the store's latest trace readings are also the
+replayed CPU load and link RSSI, and a decision round before the first
+reading of any kind is deferred.
 
 The loop does only work whose result is read. Only the hosting edge
 holds work, so an exec tick advances the host alone (an idle edge is a
@@ -50,7 +53,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import statistics
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from random import Random
 from typing import Optional
 
@@ -68,7 +73,7 @@ from .profiling import (
     spike_load,  # noqa: F401 - perfbench's tracer wraps simharness.spike_load
 )
 from .scheduler import Scheduler, fleet_proposals
-from .utility import DeviceSnapshot, NetworkSnapshot
+from .utility import NetworkSnapshot
 
 # Event priorities at equal timestamps: readings land before messages,
 # execution precedes the decision round, metrics sample last.
@@ -380,14 +385,22 @@ class Simulation:
         if self.replay:
             ends = [rows[-1].t for rows in self.device_rows.values() if rows]
             ends.append(self.net_rows[-1].t)
-            self._effective_duration = min(cfg.duration, max(ends))
-            for eid in sorted(self.device_rows):
-                for snap in self.device_rows[eid]:
-                    if snap.t <= self._effective_duration:
-                        self._push(snap.t, P_SAMPLE, "trace_device", snap)
-            for snap in self.net_rows:
-                if snap.t <= self._effective_duration:
-                    self._push(snap.t, P_SAMPLE, "trace_net", snap)
+            horizon = self._effective_duration = min(cfg.duration, max(ends))
+            # One stream per edge's device rows (sorted edges), then the
+            # network rows. Row k of a stream takes sequence number seq0 + k,
+            # as if every row in the horizon were queued here, and
+            # _next_row queues row k + 1 when row k is handled.
+            streams = [("trace_device", self.device_rows[eid]) for eid in sorted(self.device_rows)]
+            streams.append(("trace_net", self.net_rows))
+            self._streams: list[tuple[str, list, int, int]] = []  # (kind, rows, cut, seq0)
+            seq0 = next(self._seq)
+            for stream, (kind, rows) in enumerate(streams):
+                cut = bisect_right(rows, horizon, key=attrgetter("t"))
+                self._streams.append((kind, rows, cut, seq0))
+                if cut:
+                    self._push(rows[0].t, P_SAMPLE, kind, (stream, 0), seq=seq0)
+                seq0 += cut
+            self._seq = itertools.count(seq0)
         tick = cfg.exec_model.exec_tick
         periodic = []  # (first time, priority, kind, period); run() queues the rest
         if self.dynamic and not self.replay:
@@ -468,11 +481,19 @@ class Simulation:
                 gateway.ingest_network(
                     NetworkSnapshot(rid, eid, now, self._link_rssi(rid, eid, now)))
 
-    def _on_trace_device(self, now: float, snap: DeviceSnapshot) -> None:
-        self.gateway.ingest_device(snap)
+    def _on_trace_device(self, now: float, row: tuple[int, int]) -> None:
+        self.gateway.ingest_device(self._next_row(row))
 
-    def _on_trace_net(self, now: float, snap: NetworkSnapshot) -> None:
-        self.gateway.ingest_network(snap)
+    def _on_trace_net(self, now: float, row: tuple[int, int]) -> None:
+        self.gateway.ingest_network(self._next_row(row))
+
+    def _next_row(self, row: tuple[int, int]):
+        """Queue the successor of a stream's row k and return row k."""
+        stream, k = row
+        kind, rows, cut, seq0 = self._streams[stream]
+        if k + 1 < cut:
+            self._push(rows[k + 1].t, P_SAMPLE, kind, (stream, k + 1), seq=seq0 + k + 1)
+        return rows[k]
 
     def _on_send(self, now: float, send: tuple[str, int]) -> None:
         robot_id, k = send  # the robot's k-th message
@@ -536,10 +557,13 @@ class Simulation:
         iteration = self.iteration
         self.iteration += 1
         view = self.gateway.collect(now)
+        # Until the store holds any reading (replayed traces may start
+        # late), the round is deferred, as one short of quorum is.
+        heard = any(view.devices) or any(map(any, view.links.values()))
         proposals = {
             rid: proposal.max_edge
             for rid, proposal in fleet_proposals(self.schedulers, view, iteration).items()
-        }
+        } if heard else {}
         results = {
             rid: self.executors[rid].on_proposals(proposals, iteration)
             for rid in self.robot_ids

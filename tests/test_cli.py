@@ -27,6 +27,8 @@ from offloadsim.scenarios import stress_scenario
 from offloadsim.simharness import run_scenario
 from offloadsim.utility import TaskSpec, Weights
 
+STRESS_YAML = Path(__file__).resolve().parents[1] / "configs" / "stress.yaml"
+
 
 def tiny_config(**overrides) -> ScenarioConfig:
     base = dict(
@@ -288,6 +290,26 @@ def test_replay_with_unknown_robot_in_network_trace_exits_one(tmp_path, capsys):
     assert main(["replay", "--config", str(cfg_path), "--device-trace", dev,
                  "--net-trace", net]) == 1
     assert "unknown robots: ['r7']" in capsys.readouterr().err
+
+
+def test_replay_of_traces_that_start_late_defers_the_first_rounds(tmp_path, capsys):
+    # Rows run from 5 s to 59 s; decision rounds run every second from 1 s.
+    dev, net = write_replay_fixture(tmp_path, seconds=59, start=5)
+    out = tmp_path / "replayed"
+    assert main(["replay", "--config", str(STRESS_YAML), "--device-trace", dev,
+                 "--net-trace", net, "--out", str(out)]) == 0
+    capsys.readouterr()
+    decisions = (out / "decisions.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert decisions[:4] == [f"{i},,,false" for i in range(4)]  # rounds at 1-4 s
+    iteration, winner, votes, _ = decisions[4].split(",")  # the round at 5 s
+    assert iteration == "4" and winner and sum(
+        int(pair.split("=")[1]) for pair in votes.split(";")) == 3
+    hosts = [line.split(",")[:2] for line in
+             (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert all(host == "" for t, host in hosts if float(t) < 5.0)
+    assert all(host for t, host in hosts if float(t) >= 5.0)
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert summary["elapsed"] == 59.0 and summary["generated"] > 0
 
 
 # Corruptions that make any trace row invalid, with the columns each may

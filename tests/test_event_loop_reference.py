@@ -2,17 +2,20 @@
 
 ``Simulation`` skips work whose result nothing reads: an exec tick
 advances only the hosting edge, synthetic samples are taken only for a
-scheduler, and each robot's sends are queued one ahead. The reference
-subclass below does all of it, the way the loop did before it skipped
-anything: every edge on every tick, samples under every scheme, every
-send queued up front. Over random small configs both must render the
-same ``metrics.csv`` and ``decisions.csv`` and handle the same events
-in the same order.
+scheduler, and each robot's sends are queued one ahead. Replayed trace
+rows are queued one ahead per stream as well. The reference subclass
+below does all of it, the way the loop did before it skipped anything:
+every edge on every tick, samples under every scheme, every send and
+every trace row queued up front. Over random small configs and trace
+pairs both must render the same ``metrics.csv`` and ``decisions.csv``
+and handle the same events in the same order.
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -40,11 +43,11 @@ from offloadsim.simharness import (
 )
 from offloadsim.utility import TaskSpec
 
-LOGGED_KINDS = ("send", "arrival", "exec", "decision", "metrics")
+LOGGED_KINDS = ("trace_device", "trace_net", "send", "arrival", "exec", "decision", "metrics")
 
 
 class EveryWorkSimulation(Simulation):
-    """Advances every edge, samples under every scheme, queues every send up front."""
+    """Advances every edge, samples under every scheme, queues every send and row up front."""
 
     def _schedule_initial_events(self) -> None:
         cfg = self.cfg
@@ -79,6 +82,12 @@ class EveryWorkSimulation(Simulation):
             for k in range(1, cfg.message_quota(spec) + 1):
                 self._push(k / rate, P_ARRIVAL, "send", (rid, k))
 
+    def _on_trace_device(self, now: float, snap) -> None:
+        self.gateway.ingest_device(snap)
+
+    def _on_trace_net(self, now: float, snap) -> None:
+        self.gateway.ingest_network(snap)
+
     def _on_send(self, now: float, send: tuple[str, int]) -> None:
         robot_id, _ = send
         self.generated += 1
@@ -106,13 +115,21 @@ class EveryWorkSimulation(Simulation):
 
 
 def run_logged(sim: Simulation):
-    """Run sim and return its report with every non-sample event it handled."""
+    """Run sim and return its report with every non-sample event it handled.
+
+    A replayed row is logged as its snapshot, whether the event carries
+    the snapshot or its (stream, index) position.
+    """
     log = []
     for kind in LOGGED_KINDS:
         handler = getattr(sim, f"_on_{kind}")
 
         def logged(now, *args, kind=kind, handler=handler):
-            log.append((kind, now, args))
+            entry = args
+            if kind.startswith("trace_") and isinstance(args[0], tuple):
+                stream, k = args[0]
+                entry = (sim._streams[stream][1][k],)
+            log.append((kind, now, entry))
             handler(now, *args)
 
         setattr(sim, f"_on_{kind}", logged)
@@ -279,3 +296,62 @@ def test_replay_matches_the_every_work_reference(tmp_path):
     cfg = replace(TIED, exec_model=ExecModel(), duration=60.0, nominal_duration=45.0)
     report = assert_same_as_reference(cfg, str(dev), str(net))
     assert report.elapsed == 30.0
+
+
+# ------------------------------------------------------------ replayed traces
+
+@st.composite
+def replays(draw):
+    """A random config with a device and a network trace for its fleet.
+
+    Rows sit on a half-second grid from ``start``, so streams share
+    timestamps and one edge or link can have several rows at one t; they
+    run past the horizon and often past the run's completion. The first
+    device row comes first, so each decision round sees either no reading
+    at all (a late start defers it) or a device reading for every robot.
+    """
+    cfg = draw(scenarios())
+    start = draw(st.sampled_from([0.0, 0.0, 2.5, 7.0]))
+    span = 2 * (int(cfg.duration) + 10)
+    times = st.integers(0, span).map(lambda i: start + i / 2)
+    edge_ids = [e.edge_id for e in cfg.edges]
+    robot_ids = [r.robot_id for r in cfg.robots]
+    first = (start, draw(st.sampled_from(edge_ids)))
+    device = [first] + draw(st.lists(
+        st.tuples(times, st.sampled_from(edge_ids)), max_size=3 * span))
+    net = draw(st.lists(
+        st.tuples(times, st.sampled_from(robot_ids), st.sampled_from(edge_ids)),
+        min_size=1, max_size=6 * span))
+    dev_lines = ["t,edge_id,cpu_max,cpu_used,mem_max,mem_used"] + [
+        f"{t},{eid},100,{draw(st.integers(0, 100))},4096,{draw(st.integers(0, 4096))}"
+        for t, eid in sorted(device, key=lambda row: row[0])
+    ]
+    net_lines = ["t,robot_id,edge_id,rssi"] + [
+        f"{t},{rid},{eid},{draw(st.integers(-110, -30))}"
+        for t, rid, eid in sorted(net, key=lambda row: row[0])
+    ]
+    return cfg, "\n".join(dev_lines) + "\n", "\n".join(net_lines) + "\n"
+
+
+def write_trace_pair(directory: str, device: str, net: str) -> tuple[str, str]:
+    dev_path, net_path = Path(directory, "device.csv"), Path(directory, "net.csv")
+    dev_path.write_text(device, encoding="utf-8")
+    net_path.write_text(net, encoding="utf-8")
+    return str(dev_path), str(net_path)
+
+
+# TIED replayed from traces that start at 5 s, after four decision rounds.
+LATE_DEVICE = "t,edge_id,cpu_max,cpu_used,mem_max,mem_used\n" + "".join(
+    f"{t}.0,e1,100,{20 + t},4096,800\n{t}.0,e2,100,{60 - t},4096,800\n" for t in range(5, 31))
+LATE_NET = "t,robot_id,edge_id,rssi\n" + "".join(
+    f"{t}.0,{rid},{eid},{-50 - (3 * t) % 20}\n"
+    for t in range(5, 31) for rid in ("r1", "r2") for eid in ("e1", "e2"))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=replays())
+@example(case=(replace(TIED, exec_model=ExecModel(), duration=60.0), LATE_DEVICE, LATE_NET))
+def test_replayed_traces_match_the_every_work_reference(case):
+    cfg, device, net = case
+    with tempfile.TemporaryDirectory() as directory:
+        assert_same_as_reference(cfg, *write_trace_pair(directory, device, net))

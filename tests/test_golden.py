@@ -48,18 +48,20 @@ MIXED_SCHEMES = ("dynamic:both", "fixed:e1")
 MIXED_SEED = 2
 
 
-def write_replay_fixture(directory: Path) -> tuple[str, str]:
+def write_replay_fixture(directory: Path, seconds: int = REPLAY_SECONDS,
+                         start: int = 0) -> tuple[str, str]:
     """Write a small device and network trace pair for the stress fleet.
 
-    Loads and signal strengths follow integer formulas, so the files are
-    the same bytes on every platform. Edge loads take turns being
-    heaviest, which makes the replayed fleet switch hosts a few times.
+    One row per edge and per link each second from ``start`` to
+    ``seconds``. Loads and signal strengths follow integer formulas, so
+    the files are the same bytes on every platform. Edge loads take turns
+    being heaviest, which makes the replayed fleet switch hosts a few times.
     """
     dev = directory / "device.csv"
     net = directory / "net.csv"
     dev_lines = ["t,edge_id,cpu_max,cpu_used,mem_max,mem_used"]
     net_lines = ["t,robot_id,edge_id,rssi"]
-    for t in range(REPLAY_SECONDS + 1):
+    for t in range(start, seconds + 1):
         for i, eid in enumerate(("e1", "e2", "e3")):
             cpu = 15 + (7 * t + 23 * i) % 60
             mem = 900 + (37 * t + 400 * i) % 1800

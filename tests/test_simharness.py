@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from test_golden import write_replay_fixture
 
 from offloadsim.cli import render_decisions_csv, render_metrics_csv, summary_dict
 from offloadsim.config import (
@@ -20,7 +21,9 @@ from offloadsim.config import (
 )
 from offloadsim import netsim, profiling, scheduler, simharness
 from offloadsim.netsim import LinkModel
-from offloadsim.errors import ConfigError, TraceFormatError
+from offloadsim.consensus import Decision
+from offloadsim.errors import ConfigError, NoCandidatesError, TraceFormatError
+from offloadsim.profiling import Gateway
 from offloadsim.scenarios import stress_scenario
 from offloadsim.simharness import (
     EdgeExecState,
@@ -623,26 +626,39 @@ def test_only_the_host_is_advanced_and_only_once_placed(monkeypatch):
     assert advanced == hosted
 
 
-def _peak_queue_length(cfg: ScenarioConfig) -> int:
-    sim = Simulation(cfg)
-    peak = len(sim._heap)
+def _peak_queue_length(cfg: ScenarioConfig, *traces: str) -> tuple[int, int]:
+    """Peak event-queue length of one run, and its peak of messages in flight."""
+    sim = Simulation(cfg, *traces)
+    peak, in_flight = len(sim._heap), 0
     push = sim._push
 
     def tracking(*args, **kwargs):
-        nonlocal peak
+        nonlocal peak, in_flight
         push(*args, **kwargs)
         peak = max(peak, len(sim._heap))
+        in_flight = max(in_flight, sim.in_flight)
 
     sim._push = tracking
     sim.run()
-    return peak
+    return peak, in_flight
 
 
-def test_event_queue_is_bounded_by_the_fleet_not_the_horizon():
+def test_event_queue_is_bounded_by_the_fleet_not_the_horizon(tmp_path):
     cfg = replace(stress_scenario(seed=1, scheme="dynamic:both"), nominal_duration=None)
-    assert _peak_queue_length(replace(cfg, duration=600.0)) == _peak_queue_length(
-        replace(cfg, duration=3600.0)
-    )
+    robots, edges = len(cfg.robots), len(cfg.edges)
+    for replayed in (False, True):
+        peaks = []
+        for seconds in (600, 3600):
+            traces = ()
+            if replayed:
+                (tmp_path / str(seconds)).mkdir()
+                traces = write_replay_fixture(tmp_path / str(seconds), seconds=seconds)
+            peak, in_flight = _peak_queue_length(replace(cfg, duration=float(seconds)), *traces)
+            # One row per trace stream, one send per robot, one event per
+            # periodic kind, and the messages in flight.
+            assert peak <= edges + 1 + robots + 4 + in_flight
+            peaks.append(peak)
+        assert peaks[0] == peaks[1], f"replayed={replayed}"
 
 
 @pytest.mark.parametrize("duration", [600.0, 3600.0])
@@ -744,3 +760,26 @@ def test_replay_clips_duration_to_trace_end(tmp_path):
     assert rep.elapsed == 4.0  # clock stops where the traces end
     assert rep.decisions, "decisions should still fire inside the trace window"
     assert {d.winner for d in rep.decisions} == {"e1"}  # e1 is plainly lighter
+
+
+def test_replay_defers_decision_rounds_until_the_first_reading(tmp_path):
+    # The traces start at 3 s; decision rounds run every second from 1 s.
+    device_rows = [
+        f"{t}.0,e1,100,10,4096,500\n{t}.0,e2,100,60,4096,500\n" for t in range(3, 9)
+    ]
+    net_rows = [f"{t}.0,r1,e1,-50\n{t}.0,r1,e2,-50\n" for t in range(3, 9)]
+    dev, net = write_traces(tmp_path, device_rows, net_rows)
+    sim = Simulation(replay_config(), device_trace=dev, net_trace=net)
+    rep = sim.run()
+    deferred = [Decision(i, None, {}, switched=False, quorate=False) for i in range(2)]
+    assert list(rep.decisions[:2]) == deferred
+    for decisions in rep.per_robot_decisions.values():
+        assert list(decisions[:2]) == deferred
+    assert all(d.quorate and d.winner == "e1" for d in rep.decisions[2:])
+    assert [row.host for row in rep.timeseries if row.t < 3.0] == ["", "", ""]
+    assert all(row.host == "e1" for row in rep.timeseries if row.t >= 3.0)
+    assert rep.elapsed == 8.0 and rep.generated > 0
+    # A robot that has heard nothing still has no candidates of its own.
+    unheard = Gateway(["r1"], ["e1", "e2"], 3.0).collect(9.0)
+    with pytest.raises(NoCandidatesError):
+        scheduler.fleet_proposals(sim.schedulers, unheard, 9)
