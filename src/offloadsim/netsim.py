@@ -14,13 +14,18 @@ stateful RNG stream, so evaluating the same link twice at the same
 instant always yields the same value regardless of call order. It
 follows ``LinkModel.seed``, not a run's seed. ``rssi_at`` given a draw
 memo (a dict its caller owns) seeds each such draw once.
+
+Every shadowing and noise draw goes through ``keyed_draw``: the value
+``random.Random(key)`` would give for a string key, computed by
+reseeding one shared generator, so no ``Random`` is built per draw.
 """
 
 from __future__ import annotations
 
+import _random
 import math
-import random
 from dataclasses import dataclass
+from hashlib import sha512
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError, require_finite
@@ -99,6 +104,31 @@ class Delivery(NamedTuple):
         return self.arrival_at is None
 
 
+# The one generator every draw reseeds. Random(key) seeds from the integer
+# int.from_bytes(b + sha512(b).digest()) of b = key.encode() (Random.seed,
+# version 2), so seeding the C generator with it gives the same stream
+# without building a Random or running the Python seed and gauss layers.
+_generator = _random.Random()
+
+
+def keyed_draw(key: str, scale: float, gaussian: bool) -> float:
+    """``Random(key).gauss(0.0, scale)``, or ``Random(key).uniform(-scale, scale)``.
+
+    The same float, bit for bit: the first Box-Muller value ``gauss``
+    returns, or the ``a + (b - a) * random()`` of ``uniform``. Nothing
+    carries over from one call to the next.
+    """
+    b = key.encode()
+    generator = _generator
+    generator.seed(int.from_bytes(b + sha512(b).digest(), "big"))
+    random = generator.random
+    if gaussian:
+        x2pi = random() * math.tau
+        g2rad = math.sqrt(-2.0 * math.log(1.0 - random()))
+        return 0.0 + math.cos(x2pi) * g2rad * scale
+    return -scale + (scale - -scale) * random()
+
+
 def _shadowing_db(link: LinkModel, src: str, dst: str, t: float,
                   draws: Optional[dict] = None) -> float:
     if link.shadow_sigma == 0.0:
@@ -109,7 +139,7 @@ def _shadowing_db(link: LinkModel, src: str, dst: str, t: float,
         ("shadow", link.seed, link.shadow_sigma, src, dst), {})
     if stream is not None and t in stream:
         return stream[t]
-    value = random.Random(f"{link.seed}/shadow/{src}/{dst}/{t!r}").gauss(0.0, link.shadow_sigma)
+    value = keyed_draw(f"{link.seed}/shadow/{src}/{dst}/{t!r}", link.shadow_sigma, True)
     if stream is not None:
         stream[t] = value
     return value

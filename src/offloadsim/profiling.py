@@ -11,12 +11,13 @@ a stale edge) belongs to the scheduler; the store only reports it.
 Readings come either from a seeded synthetic generator, in which load
 is base plus any active spikes plus bounded measurement noise, or from
 device and network trace CSVs that the harness replays bit-exactly.
-Noise is a pure function of (run seed, edge, axis, t, amplitude); given a
-draw memo, a profiler seeds each draw once, keyed as ``netsim`` keys shadowing.
+Noise is a pure function of (run seed, edge, axis, t, amplitude), drawn
+by ``netsim.keyed_draw``; given a draw memo, a profiler seeds each draw
+once, keyed as ``netsim`` keys shadowing.
 
 Spike load is read from a per-device ``SpikeTable``: the sum of active
 spikes is piecewise constant between spike starts and ends, so it is
-computed once per interval and looked up by bisection.
+added up once per interval, in one sweep, and looked up by bisection.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from pathlib import Path
-from random import Random
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConfigError, InvalidSnapshotError, TraceFormatError
+from .netsim import keyed_draw
 from .utility import DeviceSnapshot, NetworkSnapshot
 
 DEVICE_TRACE_HEADER = ["t", "edge_id", "cpu_max", "cpu_used", "mem_max", "mem_used"]
@@ -81,9 +82,10 @@ class SpikeTable:
     The set of active spikes only changes at a spike's start or end, so
     the breakpoints are every ``start`` and ``start + duration`` (the
     sums ``active_at`` compares against) and the load is constant from
-    one breakpoint up to the next. Each interval's value comes from
-    ``spike_load`` over the spikes live in it, in their original order,
-    so ``at(t)`` returns the very floats ``spike_load(spikes, t)`` does.
+    one breakpoint up to the next. Each interval's value adds up the
+    spikes live in it from 0.0 in their original order, as
+    ``spike_load`` does, so ``at(t)`` returns the very floats
+    ``spike_load(spikes, t)`` does.
     """
 
     def __init__(self, spikes: Sequence[LoadSpike]) -> None:
@@ -98,7 +100,12 @@ class SpikeTable:
                 insort(live, by_start[k])
                 k += 1
             live = [i for i in live if ends[i] > b]
-            self.values.append(spike_load([spikes[i] for i in live], b))
+            cpu = mem = 0.0
+            for i in live:
+                spike = spikes[i]
+                cpu += spike.cpu_add
+                mem += spike.mem_add
+            self.values.append((cpu, mem))
 
     def at(self, t: float) -> tuple[float, float]:
         """Summed (cpu, mem) of the spikes active at time t."""
@@ -115,7 +122,7 @@ def _noise(seed: int, edge_id: str, axis: str, t: float, amplitude: float,
         ("noise", seed, edge_id, axis, amplitude), {})
     if stream is not None and t in stream:
         return stream[t]
-    value = Random(f"{seed}/noise/{edge_id}/{axis}/{t!r}").uniform(-amplitude, amplitude)
+    value = keyed_draw(f"{seed}/noise/{edge_id}/{axis}/{t!r}", amplitude, False)
     if stream is not None:
         stream[t] = value
     return value

@@ -25,8 +25,9 @@ exactly as before and the queue holds at most one send per robot.
 Replayed trace rows are queued one ahead per stream (each edge's device
 rows, then all network rows) under the same rule, so the queue holds at
 most one row per stream; the store's latest trace readings are also the
-replayed CPU load and link RSSI, and a decision round before the first
-reading of any kind is deferred.
+replayed CPU load and link RSSI. A robot that has heard from no edge
+casts no vote, so a round before the first reading of any kind is
+deferred.
 
 The loop does only work whose result is read. Only the hosting edge
 holds work, so an exec tick advances the host alone (an idle edge is a
@@ -39,8 +40,12 @@ computes its path loss on first use and keeps it; a robot with
 waypoints recomputes it from its pose at each use. A message is only
 its robot's id in the pre-placement buffer and in an arrival event, so
 sends and arrivals build no message objects. ``run()`` calls each
-``_on_<kind>`` handler directly. ``compare_schemes`` gives its runs one
-memo of shadowing and noise draws, so a draw they share is seeded once.
+``_on_<kind>`` handler directly. A sample draws each link's shadowing
+before any send at its instant (``P_SAMPLE`` sorts first), so a send
+or buffered transmit at a sample instant reads that reading instead of
+drawing the same key again; a single run seeds each draw key once.
+``compare_schemes`` gives its runs one memo of shadowing and noise
+draws, so a draw they share is seeded once.
 
 Scheme semantics: ``fixed:<edge>`` pins the task to one edge and runs
 no scheduler at all; ``dynamic:<variant>`` runs the full decision
@@ -435,9 +440,14 @@ class Simulation:
         return path_loss_dbm(self.cfg.link, x, y, edge.x, edge.y)
 
     def _link_rssi(self, robot_id: str, edge_id: str, now: float) -> float:
+        reading = self.gateway.links[robot_id][edge_id]
         if self.replay:
-            reading = self.gateway.links[robot_id][edge_id]
             return -120.0 if reading is None else reading.rssi
+        # P_SAMPLE sorts first, so a sample at now has drawn this link
+        # already and its reading is this draw. Only a float now has the
+        # sample's key: 1 == 1.0, but their reprs differ.
+        if reading is not None and reading.t == now and type(now) is float:
+            return reading.rssi
         static = self._static_loss.get(robot_id)
         if static is None:  # the robot moves
             loss = self._path_loss(robot_id, edge_id, now)
@@ -557,13 +567,16 @@ class Simulation:
         iteration = self.iteration
         self.iteration += 1
         view = self.gateway.collect(now)
-        # Until the store holds any reading (replayed traces may start
-        # late), the round is deferred, as one short of quorum is.
-        heard = any(view.devices) or any(map(any, view.links.values()))
+        # A robot that has heard from no edge yet (replayed traces may
+        # start late) casts no vote; with no voter the round is deferred,
+        # as one short of quorum is.
+        voters = self.schedulers if any(view.devices) else {
+            rid: sched for rid, sched in self.schedulers.items() if any(view.links[rid])
+        }
         proposals = {
             rid: proposal.max_edge
-            for rid, proposal in fleet_proposals(self.schedulers, view, iteration).items()
-        } if heard else {}
+            for rid, proposal in fleet_proposals(voters, view, iteration).items()
+        } if voters else {}
         results = {
             rid: self.executors[rid].on_proposals(proposals, iteration)
             for rid in self.robot_ids

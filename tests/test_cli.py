@@ -312,6 +312,24 @@ def test_replay_of_traces_that_start_late_defers_the_first_rounds(tmp_path, caps
     assert summary["elapsed"] == 59.0 and summary["generated"] > 0
 
 
+def test_replay_where_one_robot_has_heard_nothing_exits_zero(tiny_yaml, tmp_path, capsys):
+    # r1 hears e1 at 0 s; r2 hears nothing and device rows start at 3 s.
+    dev = tmp_path / "device.csv"
+    net = tmp_path / "net.csv"
+    dev.write_text("t,edge_id,cpu_max,cpu_used,mem_max,mem_used\n" + "".join(
+        f"{t}.0,e1,100,10,4096,500\n{t}.0,e2,100,60,4096,500\n" for t in range(3, 9)),
+        encoding="utf-8")
+    net.write_text("t,robot_id,edge_id,rssi\n0.0,r1,e1,-50\n", encoding="utf-8")
+    out = tmp_path / "replayed"
+    assert main(["replay", "--config", str(tiny_yaml), "--device-trace", str(dev),
+                 "--net-trace", str(net), "--out", str(out)]) == 0
+    capsys.readouterr()
+    decisions = (out / "decisions.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [line.split(",")[2] for line in decisions[:3]] == ["e1=1", "e1=1", "e1=2"]
+    rep = run_scenario(load_config(tiny_yaml), device_trace=str(dev), net_trace=str(net))
+    assert all(log == rep.decisions for log in rep.per_robot_decisions.values())
+
+
 # Corruptions that make any trace row invalid, with the columns each may
 # hit and the values it may write there (device, network).
 NUMERIC_COLUMNS = {"device": (0, 2, 3, 4, 5), "net": (0, 3)}

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from offloadsim.config import ExecModel
@@ -11,6 +13,7 @@ from offloadsim.errors import ConfigError
 from offloadsim.netsim import (
     LinkModel,
     deliver,
+    keyed_draw,
     path_loss_dbm,
     rssi_at,
     throughput_of,
@@ -69,6 +72,31 @@ def test_rssi_shadowing_varies_over_time_and_links():
     other = rssi(shadowed, 25.0, "r2", t=0.0)
     assert base != later
     assert base != other
+
+
+# Draw keys end in a time's repr, as the shadowing and noise keys do.
+draw_keys = st.one_of(
+    st.text(),
+    st.builds(lambda head, t: f"{head}/{t!r}", st.text(max_size=12),
+              st.floats(min_value=0.0, max_value=1e6)),
+    st.sampled_from(["7/shadow/r1/e2/1e-05", "1/noise/e1/cpu/0.30000000000000004",
+                     "0/shadow/r10/e3/3387.649999998014"]),
+)
+scales = st.floats(min_value=0.0, max_value=1e3)
+
+
+@given(draws=st.lists(st.tuples(draw_keys, scales, st.booleans()), min_size=1, max_size=8))
+@example(draws=[("k", 2.0, True), ("k", 2.0, True), ("k", 2.0, False), ("j", 0.5, True)])
+@example(draws=[("x", 0.0, True), ("x", 0.0, False)])  # signed zeros
+def test_keyed_draw_equals_a_fresh_random_per_key(draws):
+    # Interleaved gauss and uniform draws, repeated keys included: any
+    # state left from one call (a cached second Box-Muller value, an
+    # unseeded stream) would show in the next.
+    for key, scale, gaussian in draws:
+        rng = random.Random(key)
+        expected = rng.gauss(0.0, scale) if gaussian else rng.uniform(-scale, scale)
+        got = keyed_draw(key, scale, gaussian)
+        assert repr(got) == repr(expected), (key, scale, gaussian)
 
 
 def test_link_model_validation():

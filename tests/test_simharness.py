@@ -1,7 +1,7 @@
 """Discrete-event harness: execution law, accounting, and comparisons."""
 
+import _random
 import json
-import random
 import re
 from collections import Counter
 from dataclasses import replace
@@ -19,7 +19,7 @@ from offloadsim.config import (
     ScenarioConfig,
     SpikeModel,
 )
-from offloadsim import netsim, profiling, scheduler, simharness
+from offloadsim import netsim, scheduler, simharness
 from offloadsim.netsim import LinkModel
 from offloadsim.consensus import Decision
 from offloadsim.errors import ConfigError, NoCandidatesError, TraceFormatError
@@ -502,17 +502,17 @@ def test_compare_reports_match_the_same_runs_made_alone(case):
 
 
 def _count_seeding(monkeypatch) -> list:
-    """Record the seed of every shadowing and noise ``Random`` built from now on."""
-    seeds = []
+    """Record the key of every shadowing and noise draw seeded from now on."""
+    keys = []
 
-    class Counting(random.Random):
-        def __init__(self, x=None):
-            seeds.append(x)
-            super().__init__(x)
+    class Counting(_random.Random):
+        def seed(self, n):
+            # n is int.from_bytes(key + sha512(key).digest()), as Random(key) seeds.
+            keys.append(n.to_bytes((n.bit_length() + 7) // 8, "big")[:-64].decode())
+            super().seed(n)
 
-    monkeypatch.setattr(netsim.random, "Random", Counting)
-    monkeypatch.setattr(profiling, "Random", Counting)
-    return seeds
+    monkeypatch.setattr(netsim, "_generator", Counting())
+    return keys
 
 
 def _drawing_config():
@@ -533,13 +533,33 @@ def test_compare_seeds_each_draw_once_per_call(monkeypatch):
     assert seeds == first
 
 
-def test_a_single_run_seeds_every_draw_it_makes(monkeypatch):
-    seeds = _count_seeding(monkeypatch)
+def test_a_single_run_seeds_each_draw_key_once(monkeypatch):
+    keys = _count_seeding(monkeypatch)
     run_scenario(_drawing_config())
     # 21 samples x (4 noise + 4 shadowing) draws, plus one shadowing draw
-    # for each of the 80 messages: the count from before any memo.
-    assert len(seeds) == 21 * 8 + 80
-    assert len(set(seeds)) < len(seeds)
+    # for each of the 38 messages sent between sample instants after the
+    # first placement; the other 42 of the 80 read their sample's draw.
+    assert len(keys) == 21 * 8 + 38
+    assert max(Counter(keys).values()) == 1
+
+
+def test_a_send_at_a_sample_instant_seeds_nothing(monkeypatch):
+    keys = _count_seeding(monkeypatch)
+    sim = Simulation(_drawing_config())  # samples every 1 s, sends every 0.5 s
+    seeded: Counter[float] = Counter()  # send time -> draws seeded by its sends
+    on_send = sim._on_send
+
+    def send(now, payload):
+        before = len(keys)
+        on_send(now, payload)
+        seeded[now] += len(keys) - before
+
+    sim._on_send = send
+    sim.run()
+    assert sim.decision_log[0].winner is not None  # placed at 1 s, so later sends transmit
+    transmitted = [t for t in seeded if t > 1.0]
+    assert sum(t.is_integer() for t in transmitted) == 19
+    assert all(seeded[t] == (0 if t.is_integer() else 2) for t in transmitted)
 
 
 # ------------------------------------------------------------ event heap
@@ -783,3 +803,18 @@ def test_replay_defers_decision_rounds_until_the_first_reading(tmp_path):
     unheard = Gateway(["r1"], ["e1", "e2"], 3.0).collect(9.0)
     with pytest.raises(NoCandidatesError):
         scheduler.fleet_proposals(sim.schedulers, unheard, 9)
+
+
+def test_replay_robot_that_has_heard_nothing_casts_no_vote(tmp_path):
+    # r1 hears e1 at 0 s; r2 hears nothing and device rows start at 3 s.
+    device_rows = [
+        f"{t}.0,e1,100,10,4096,500\n{t}.0,e2,100,60,4096,500\n" for t in range(3, 9)
+    ]
+    dev, net = write_traces(tmp_path, device_rows, ["0.0,r1,e1,-50\n"])
+    rep = run_scenario(two_edge_config(duration=10.0), device_trace=dev, net_trace=net)
+    votes = [sum(d.votes.values()) for d in rep.decisions]
+    assert votes[:2] == [1, 1]  # rounds at 1 s and 2 s: r1 alone
+    assert votes[2:] == [2] * (len(votes) - 2)
+    for decisions in rep.per_robot_decisions.values():
+        assert decisions == rep.decisions
+    assert rep.elapsed == 8.0 and rep.generated > 0
