@@ -307,9 +307,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OffloadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - the exit-code contract needs a catch-all
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

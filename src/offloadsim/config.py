@@ -482,7 +482,16 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
+    """Read and validate a scenario YAML file.
+
+    A file that cannot be opened raises ``ConfigError`` with the
+    ``OSError``'s message, which names the path.
+    """
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
+    with fh:
         try:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:

@@ -15,6 +15,13 @@ Noise is a pure function of (run seed, edge, axis, t, amplitude), drawn
 by ``netsim.keyed_draw``; given a draw memo, a profiler seeds each draw
 once, keyed as ``netsim`` keys shadowing.
 
+A loaded trace is held as columns: ``load_device_trace`` returns one
+``DeviceTrace`` per edge and ``load_network_trace`` one
+``NetworkTrace``, float arrays plus shared id strings. The loaders check
+every row with the snapshot types' own checks
+(``utility.check_device_reading``, ``utility.check_network_reading``),
+and a row's snapshot is built only when it is read.
+
 Spike load is read from a per-device ``SpikeTable``: the sum of active
 spikes is piecewise constant between spike starts and ends, so it is
 added up once per interval, in one sweep, and looked up by bisection.
@@ -24,17 +31,27 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from bisect import bisect_right, insort
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional
 
 from .errors import ConfigError, InvalidSnapshotError, TraceFormatError
 from .netsim import keyed_draw
-from .utility import DeviceSnapshot, NetworkSnapshot
+from .utility import (
+    DeviceSnapshot,
+    NetworkSnapshot,
+    check_device_reading,
+    check_network_reading,
+)
 
 DEVICE_TRACE_HEADER = ["t", "edge_id", "cpu_max", "cpu_used", "mem_max", "mem_used"]
 NETWORK_TRACE_HEADER = ["t", "robot_id", "edge_id", "rssi"]
+
+_new = object.__new__
+_setattr = object.__setattr__  # frozen snapshots refuse their own __setattr__
 
 @dataclass(frozen=True)
 class LoadSpike:
@@ -178,9 +195,15 @@ def _trace_rows(path: str, header: list[str]) -> Iterator[tuple[int, float, list
 
     Checks the UTF-8 encoding, the header, the field count, that ``t``
     is finite and that it never decreases from one row to the next;
-    every failure names ``path:line``.
+    every failure names ``path:line``. A file that cannot be opened
+    raises ``TraceFormatError`` with the ``OSError``'s message, which
+    names the path.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise TraceFormatError(str(exc)) from None
+    with fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)
@@ -215,43 +238,134 @@ def _trace_rows(path: str, header: list[str]) -> Iterator[tuple[int, float, list
             raise
 
 
-def load_device_trace(path: str | Path) -> dict[str, list[DeviceSnapshot]]:
-    """Read a device trace CSV into per-edge snapshot lists (file order).
+class _TraceColumns(Sequence):
+    """Trace rows held as parallel columns; ``reading(k)`` builds row k.
 
-    The header must be exactly ``t,edge_id,cpu_max,cpu_used,mem_max,mem_used``
-    and the rows must be in time order.
+    A subclass names its columns in ``__slots__``, ``t`` among them.
+    """
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self.reading(i) for i in range(*k.indices(len(self)))]
+        return self.reading(k)
+
+
+class DeviceTrace(_TraceColumns):
+    """One edge's device trace rows as parallel float columns, in file order.
+
+    ``len()`` is the row count and ``trace[k]`` builds row k's
+    ``DeviceSnapshot``; ``reading(k)`` builds it for an int ``k`` alone.
+    """
+
+    __slots__ = ("edge_id", "t", "cpu_max", "cpu_used", "mem_max", "mem_used")
+
+    def __init__(self, edge_id: str) -> None:
+        self.edge_id = edge_id
+        self.t = array("d")
+        self.cpu_max = array("d")
+        self.cpu_used = array("d")
+        self.mem_max = array("d")
+        self.mem_used = array("d")
+
+    def reading(self, k: int) -> DeviceSnapshot:
+        # The loader checked every row, so the snapshot skips __init__
+        # and its checks.
+        snap = _new(DeviceSnapshot)
+        _setattr(snap, "__dict__", {
+            "edge_id": self.edge_id, "t": self.t[k], "cpu_max": self.cpu_max[k],
+            "cpu_used": self.cpu_used[k], "mem_max": self.mem_max[k],
+            "mem_used": self.mem_used[k],
+        })
+        return snap
+
+
+class NetworkTrace(_TraceColumns):
+    """A network trace's rows as parallel columns, in file order.
+
+    ``t`` and ``rssi`` are float columns; ``robot_id`` and ``edge_id``
+    hold one shared ``str`` per distinct id. ``len()`` is the row count
+    and ``trace[k]`` builds row k's ``NetworkSnapshot``; ``reading(k)``
+    builds it for an int ``k`` alone.
+    """
+
+    __slots__ = ("t", "rssi", "robot_id", "edge_id")
+
+    def __init__(self) -> None:
+        self.t = array("d")
+        self.rssi = array("d")
+        self.robot_id: list[str] = []
+        self.edge_id: list[str] = []
+
+    def reading(self, k: int) -> NetworkSnapshot:
+        # The loader checked every row, so the snapshot skips __init__
+        # and its checks.
+        snap = _new(NetworkSnapshot)
+        _setattr(snap, "__dict__", {
+            "robot_id": self.robot_id[k], "edge_id": self.edge_id[k],
+            "t": self.t[k], "rssi": self.rssi[k],
+        })
+        return snap
+
+
+def load_device_trace(path: str | Path) -> dict[str, DeviceTrace]:
+    """Read a device trace CSV into one ``DeviceTrace`` per edge.
+
+    The header must be exactly ``t,edge_id,cpu_max,cpu_used,mem_max,mem_used``,
+    the rows must be in time order, and every row must make a valid
+    ``DeviceSnapshot``; a bad row raises ``TraceFormatError`` naming
+    ``path:line``.
     """
     path = str(path)
-    out: dict[str, list[DeviceSnapshot]] = {}
+    out: dict[str, DeviceTrace] = {}
     for lineno, t, row in _trace_rows(path, DEVICE_TRACE_HEADER):
+        edge_id = row[1]
+        cpu_max = _parse_float(row[2], path, lineno, "cpu_max")
+        cpu_used = _parse_float(row[3], path, lineno, "cpu_used")
+        mem_max = _parse_float(row[4], path, lineno, "mem_max")
+        mem_used = _parse_float(row[5], path, lineno, "mem_used")
         try:
-            snap = DeviceSnapshot(
-                row[1], t,
-                _parse_float(row[2], path, lineno, "cpu_max"),
-                _parse_float(row[3], path, lineno, "cpu_used"),
-                _parse_float(row[4], path, lineno, "mem_max"),
-                _parse_float(row[5], path, lineno, "mem_used"),
-            )
+            check_device_reading(edge_id, cpu_max, cpu_used, mem_max, mem_used)
         except InvalidSnapshotError as exc:
             raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
-        out.setdefault(snap.edge_id, []).append(snap)
+        trace = out.get(edge_id)
+        if trace is None:
+            trace = out[edge_id] = DeviceTrace(edge_id)
+        trace.t.append(t)
+        trace.cpu_max.append(cpu_max)
+        trace.cpu_used.append(cpu_used)
+        trace.mem_max.append(mem_max)
+        trace.mem_used.append(mem_used)
     return out
 
 
-def load_network_trace(path: str | Path) -> list[NetworkSnapshot]:
-    """Read a network trace CSV into a snapshot list (file order).
+def load_network_trace(path: str | Path) -> NetworkTrace:
+    """Read a network trace CSV into a ``NetworkTrace``.
 
-    The header must be exactly ``t,robot_id,edge_id,rssi`` and the rows
-    must be in time order.
+    The header must be exactly ``t,robot_id,edge_id,rssi``, the rows
+    must be in time order, and every row must make a valid
+    ``NetworkSnapshot``; a bad row raises ``TraceFormatError`` naming
+    ``path:line``.
     """
     path = str(path)
-    out: list[NetworkSnapshot] = []
+    out = NetworkTrace()
+    ids: dict[str, str] = {}  # each distinct id, kept once
     for lineno, t, row in _trace_rows(path, NETWORK_TRACE_HEADER):
+        robot_id = ids.setdefault(row[1], row[1])
+        edge_id = ids.setdefault(row[2], row[2])
+        rssi = _parse_float(row[3], path, lineno, "rssi")
         try:
-            out.append(NetworkSnapshot(row[1], row[2], t,
-                                       _parse_float(row[3], path, lineno, "rssi")))
+            check_network_reading(robot_id, edge_id, rssi)
         except InvalidSnapshotError as exc:
             raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+        out.t.append(t)
+        out.rssi.append(rssi)
+        out.robot_id.append(robot_id)
+        out.edge_id.append(edge_id)
     return out
 
 

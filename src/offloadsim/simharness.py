@@ -24,10 +24,13 @@ after the first periodic events), so sends tie-break against arrivals
 exactly as before and the queue holds at most one send per robot.
 Replayed trace rows are queued one ahead per stream (each edge's device
 rows, then all network rows) under the same rule, so the queue holds at
-most one row per stream; the store's latest trace readings are also the
-replayed CPU load and link RSSI. A robot that has heard from no edge
-casts no vote, so a round before the first reading of any kind is
-deferred.
+most one row per stream. A stream is a trace held as columns
+(``profiling.DeviceTrace``, ``profiling.NetworkTrace``): its cut at the
+horizon is a bisection of its ``t`` column, and a row's snapshot is
+built when the row is handled. The store's latest trace readings are
+also the replayed CPU load and link RSSI. A robot that has heard from
+no edge casts no vote, so a round before the first reading of any kind
+is deferred.
 
 The loop does only work whose result is read. Only the hosting edge
 holds work, so an exec tick advances the host alone (an idle edge is a
@@ -60,7 +63,6 @@ import itertools
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from random import Random
 from typing import Optional
 
@@ -306,8 +308,8 @@ class Simulation:
             unknown = sorted(set(self.device_rows) - set(self.edge_ids))
             if unknown:
                 raise TraceFormatError(f"device trace names unknown edges: {unknown}")
-            robots = sorted({snap.robot_id for snap in self.net_rows} - set(self.robot_ids))
-            edges = sorted({snap.edge_id for snap in self.net_rows} - set(self.edge_ids))
+            robots = sorted(set(self.net_rows.robot_id).difference(self.robot_ids))
+            edges = sorted(set(self.net_rows.edge_id).difference(self.edge_ids))
             if robots or edges:
                 raise TraceFormatError(
                     f"network trace names unknown robots: {robots}, unknown edges: {edges}"
@@ -388,8 +390,8 @@ class Simulation:
         cfg = self.cfg
         self._effective_duration = cfg.duration
         if self.replay:
-            ends = [rows[-1].t for rows in self.device_rows.values() if rows]
-            ends.append(self.net_rows[-1].t)
+            ends = [rows.t[-1] for rows in self.device_rows.values()]
+            ends.append(self.net_rows.t[-1])
             horizon = self._effective_duration = min(cfg.duration, max(ends))
             # One stream per edge's device rows (sorted edges), then the
             # network rows. Row k of a stream takes sequence number seq0 + k,
@@ -397,13 +399,14 @@ class Simulation:
             # _next_row queues row k + 1 when row k is handled.
             streams = [("trace_device", self.device_rows[eid]) for eid in sorted(self.device_rows)]
             streams.append(("trace_net", self.net_rows))
-            self._streams: list[tuple[str, list, int, int]] = []  # (kind, rows, cut, seq0)
+            # (kind, rows, cut, seq0, the rows' t column, rows.reading)
+            self._streams: list[tuple] = []
             seq0 = next(self._seq)
             for stream, (kind, rows) in enumerate(streams):
-                cut = bisect_right(rows, horizon, key=attrgetter("t"))
-                self._streams.append((kind, rows, cut, seq0))
+                cut = bisect_right(rows.t, horizon)
+                self._streams.append((kind, rows, cut, seq0, rows.t, rows.reading))
                 if cut:
-                    self._push(rows[0].t, P_SAMPLE, kind, (stream, 0), seq=seq0)
+                    self._push(rows.t[0], P_SAMPLE, kind, (stream, 0), seq=seq0)
                 seq0 += cut
             self._seq = itertools.count(seq0)
         tick = cfg.exec_model.exec_tick
@@ -500,10 +503,10 @@ class Simulation:
     def _next_row(self, row: tuple[int, int]):
         """Queue the successor of a stream's row k and return row k."""
         stream, k = row
-        kind, rows, cut, seq0 = self._streams[stream]
+        kind, _, cut, seq0, t, reading = self._streams[stream]
         if k + 1 < cut:
-            self._push(rows[k + 1].t, P_SAMPLE, kind, (stream, k + 1), seq=seq0 + k + 1)
-        return rows[k]
+            self._push(t[k + 1], P_SAMPLE, kind, (stream, k + 1), seq=seq0 + k + 1)
+        return reading(k)
 
     def _on_send(self, now: float, send: tuple[str, int]) -> None:
         robot_id, k = send  # the robot's k-th message

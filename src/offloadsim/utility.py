@@ -29,6 +29,25 @@ def clamp01(value: float) -> float:
     return max(0.0, min(1.0, value))
 
 
+def check_device_reading(edge_id: str, cpu_max: float, cpu_used: float,
+                         mem_max: float, mem_used: float) -> None:
+    """Raise InvalidSnapshotError unless the figures make a valid device reading."""
+    if not (0.0 < cpu_max <= 100.0):
+        raise InvalidSnapshotError(f"{edge_id}: cpu_max must be in (0, 100], got {cpu_max}")
+    if not (0.0 <= cpu_used <= cpu_max):
+        raise InvalidSnapshotError(f"{edge_id}: cpu_used {cpu_used} outside [0, {cpu_max}]")
+    if mem_max <= 0.0:
+        raise InvalidSnapshotError(f"{edge_id}: mem_max must be positive, got {mem_max}")
+    if not (0.0 <= mem_used <= mem_max):
+        raise InvalidSnapshotError(f"{edge_id}: mem_used {mem_used} outside [0, {mem_max}]")
+
+
+def check_network_reading(robot_id: str, edge_id: str, rssi: float) -> None:
+    """Raise InvalidSnapshotError unless rssi is a valid link reading."""
+    if not (-120.0 <= rssi <= 0.0):
+        raise InvalidSnapshotError(f"{robot_id}->{edge_id}: rssi {rssi} outside [-120, 0] dBm")
+
+
 @dataclass(frozen=True)
 class DeviceSnapshot:
     """One profiler reading of an edge device.
@@ -46,22 +65,8 @@ class DeviceSnapshot:
     mem_used: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.cpu_max <= 100.0):
-            raise InvalidSnapshotError(
-                f"{self.edge_id}: cpu_max must be in (0, 100], got {self.cpu_max}"
-            )
-        if not (0.0 <= self.cpu_used <= self.cpu_max):
-            raise InvalidSnapshotError(
-                f"{self.edge_id}: cpu_used {self.cpu_used} outside [0, {self.cpu_max}]"
-            )
-        if self.mem_max <= 0.0:
-            raise InvalidSnapshotError(
-                f"{self.edge_id}: mem_max must be positive, got {self.mem_max}"
-            )
-        if not (0.0 <= self.mem_used <= self.mem_max):
-            raise InvalidSnapshotError(
-                f"{self.edge_id}: mem_used {self.mem_used} outside [0, {self.mem_max}]"
-            )
+        check_device_reading(self.edge_id, self.cpu_max, self.cpu_used,
+                             self.mem_max, self.mem_used)
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,7 @@ class NetworkSnapshot:
     rssi: float
 
     def __post_init__(self) -> None:
-        if not (-120.0 <= self.rssi <= 0.0):
-            raise InvalidSnapshotError(
-                f"{self.robot_id}->{self.edge_id}: rssi {self.rssi} outside [-120, 0] dBm"
-            )
+        check_network_reading(self.robot_id, self.edge_id, self.rssi)
 
 
 @dataclass(frozen=True)

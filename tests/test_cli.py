@@ -1,6 +1,7 @@
 """Command-line contract: outputs, overrides, and exit codes."""
 
 import io
+import itertools
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -159,6 +160,28 @@ def test_yaml_non_finite_integer_exits_one_naming_the_field(tmp_path, capsys, fi
 def test_missing_config_file_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "ghost.yaml")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_directory_as_config_exits_one_naming_it(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("flag", ["--device-trace", "--net-trace"])
+@pytest.mark.parametrize("problem", ["directory", "missing"])
+def test_unreadable_trace_exits_one_naming_it(tiny_yaml, tmp_path, capsys, flag, problem):
+    dev, net = write_flat_traces(tmp_path)
+    bad = tmp_path / "traces"
+    if problem == "directory":
+        bad.mkdir()
+    args = {"--device-trace": dev, "--net-trace": net, flag: str(bad)}
+    assert main(["replay", "--config", str(tiny_yaml), *itertools.chain(*args.items()),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    if problem == "missing":
+        assert err == f"error: [Errno 2] No such file or directory: {str(bad)!r}\n"
 
 
 def test_usage_problems_exit_one(capsys):

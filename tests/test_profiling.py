@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import re
+import tempfile
+import tracemalloc
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_golden import write_replay_fixture
 
 from offloadsim.errors import ConfigError, TraceFormatError
 from offloadsim.profiling import (
+    DEVICE_TRACE_HEADER,
+    NETWORK_TRACE_HEADER,
     DeviceProfile,
     Gateway,
     LoadSpike,
@@ -164,7 +172,7 @@ def test_network_trace_round_trip(tmp_path):
         encoding="utf-8",
     )
     rows = load_network_trace(path)
-    assert rows == [
+    assert list(rows) == [
         NetworkSnapshot("r1", "e1", 0.0, -55.5),
         NetworkSnapshot("r1", "e1", 1.0, -56.25),
     ]
@@ -175,6 +183,96 @@ def test_network_trace_rejects_short_rows(tmp_path):
     path.write_text("t,robot_id,edge_id,rssi\n0.0,r1,e1\n", encoding="utf-8")
     with pytest.raises(TraceFormatError, match=r"net\.csv:2"):
         load_network_trace(path)
+
+
+id_lists = st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True),
+                    min_size=1, max_size=4, unique=True)
+
+
+def sorted_times(n):
+    return st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n).map(sorted)
+
+
+@st.composite
+def device_files(draw):
+    """A valid device trace: the file's text and its rows as snapshots, in file order."""
+    edge_ids = draw(id_lists)
+    n = draw(st.integers(0, 30))
+    lines = [",".join(DEVICE_TRACE_HEADER)]
+    rows = []
+    for t in draw(sorted_times(n)):
+        edge_id = draw(st.sampled_from(edge_ids))
+        cpu_max = draw(st.floats(0.0, 100.0, exclude_min=True))
+        cpu_used = draw(st.floats(0.0, cpu_max))
+        mem_max = draw(st.floats(0.0, 1e6, exclude_min=True))
+        mem_used = draw(st.floats(0.0, mem_max))
+        lines.append(f"{t!r},{edge_id},{cpu_max!r},{cpu_used!r},{mem_max!r},{mem_used!r}")
+        rows.append(DeviceSnapshot(edge_id, t, cpu_max, cpu_used, mem_max, mem_used))
+    return "\n".join(lines) + "\n", rows
+
+
+@st.composite
+def network_files(draw):
+    """A valid network trace: the file's text and its rows as snapshots, in file order."""
+    robot_ids, edge_ids = draw(id_lists), draw(id_lists)
+    n = draw(st.integers(0, 30))
+    lines = [",".join(NETWORK_TRACE_HEADER)]
+    rows = []
+    for t in draw(sorted_times(n)):
+        robot_id, edge_id = draw(st.sampled_from(robot_ids)), draw(st.sampled_from(edge_ids))
+        rssi = draw(st.floats(-120.0, 0.0))
+        lines.append(f"{t!r},{robot_id},{edge_id},{rssi!r}")
+        rows.append(NetworkSnapshot(robot_id, edge_id, t, rssi))
+    return "\n".join(lines) + "\n", rows
+
+
+def exact(snaps):
+    """Each snapshot's type and fields, floats as their exact hex form."""
+    return [(type(s), *(v.hex() if isinstance(v, float) else v for v in astuple(s)))
+            for s in snaps]
+
+
+def load_text(loader, text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "trace.csv")
+        path.write_text(text, encoding="utf-8")
+        return loader(path)
+
+
+@settings(max_examples=60)
+@given(device=device_files(), net=network_files())
+def test_loaders_return_exactly_the_files_rows(device, net):
+    text, rows = device
+    traces = load_text(load_device_trace, text)
+    assert sorted(traces) == sorted({s.edge_id for s in rows})
+    for edge_id, trace in traces.items():
+        got = list(trace)
+        assert exact(got) == exact([s for s in rows if s.edge_id == edge_id])
+        assert all(s.edge_id is trace.edge_id for s in got)
+
+    text, rows = net
+    trace = load_text(load_network_trace, text)
+    got = list(trace)
+    assert exact(got) == exact(rows)
+    shared = {}
+    for s in got:
+        for name in (s.robot_id, s.edge_id):
+            assert shared.setdefault(name, name) is name
+
+
+def test_loaded_traces_hold_at_most_48_bytes_per_row(tmp_path):
+    dev, net = write_replay_fixture(tmp_path, seconds=600)  # 3 edges, 9 links
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traces = load_device_trace(dev), load_network_trace(net)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    rows = sum(map(len, traces[0].values())) + len(traces[1])
+    assert rows == 601 * 12
+    assert held / rows <= 48
 
 
 # kind -> (loader, header, row template, in-range value, out-of-range value)
