@@ -42,8 +42,10 @@ def main() -> int:
             result = json.loads(lines[-1]) if lines else {"correct": False}
             ok = ok and proc.returncode == 0 and result.get("correct", False)
             runs.setdefault(workload, {})[str(seed)] = result
-            wall = result.get("metrics", {}).get("wall_s", {}).get("value")
-            print(f"{workload} seed {seed}: exit {proc.returncode}, wall_s {wall}", file=sys.stderr)
+            metrics = result.get("metrics", {})
+            wall, peak = (metrics.get(name, {}).get("value") for name in ("wall_s", "peak_mem_mb"))
+            print(f"{workload} seed {seed}: exit {proc.returncode}, wall_s {wall}, "
+                  f"peak_mem_mb {peak}", file=sys.stderr)
 
     record = {
         "label": args.label,

@@ -49,7 +49,7 @@ from .profiling import (
     load_network_trace,
 )
 from .scheduler import Scheduler, calculate_utility, exchange_and_sum, select_max_edge
-from .simharness import MetricsReport, Simulation, compare_schemes, run_scenario
+from .simharness import MetricsReport, Simulation, Timeseries, compare_schemes, run_scenario
 from .utility import (
     DeviceSnapshot,
     NetworkBounds,
@@ -90,6 +90,7 @@ __all__ = [
     "SpikeModel",
     "SyntheticDeviceProfiler",
     "TaskSpec",
+    "Timeseries",
     "TraceFormatError",
     "WEIGHT_PRESETS",
     "Weights",

@@ -46,19 +46,14 @@ def render_metrics_csv(report: MetricsReport) -> str:
     for eid in edges:
         header += [f"cpu_{eid}", f"mem_pct_{eid}", f"queue_{eid}", f"mbps_{eid}"]
     header += ["generated", "processed", "dropped", "merged"]
-    lines = [",".join(header)]
-    for row in report.timeseries:
-        cells = [_fmt(row.t), row.host]
-        for eid in edges:
-            cells += [
-                _fmt(row.cpu[eid]),
-                _fmt(row.mem_pct[eid]),
-                str(row.queue[eid]),
-                _fmt(row.throughput_mbps[eid]),
-            ]
-        cells += [str(row.generated), str(row.processed),
-                  str(row.dropped), str(row.merged)]
-        lines.append(",".join(cells))
+    ts = report.timeseries
+    cells = [map(_fmt, ts.t), ts.host]
+    for eid in edges:
+        cells += [map(_fmt, ts.edge_column("cpu", eid)), map(_fmt, ts.edge_column("mem_pct", eid)),
+                  map(str, ts.edge_column("queue", eid)),
+                  map(_fmt, ts.edge_column("throughput_mbps", eid))]
+    cells += [map(str, col) for col in (ts.generated, ts.processed, ts.dropped, ts.merged)]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
 

@@ -23,12 +23,13 @@ from typing import Mapping, Optional
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     """Outcome of one consensus round.
 
     ``quorate`` is False when too few proposals arrived; the round then
-    carries the previous winner forward with empty votes.
+    carries the previous winner forward with empty votes. Frozen, so the
+    harness keeps one per round and every robot's log shares it.
     """
 
     iteration: int

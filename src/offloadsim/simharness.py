@@ -50,6 +50,11 @@ drawing the same key again; a single run seeds each draw key once.
 ``compare_schemes`` gives its runs one memo of shadowing and noise
 draws, so a draw they share is seeded once.
 
+A report holds its record compactly. Its time series (``Timeseries``)
+is one float or integer column per metric, read as a tuple of
+``TickRow``, and once a round's decisions are found equal every
+robot's log holds the first robot's ``Decision`` for that round.
+
 Scheme semantics: ``fixed:<edge>`` pins the task to one edge and runs
 no scheduler at all; ``dynamic:<variant>`` runs the full decision
 pipeline with that variant's weight preset (unless the config names
@@ -61,7 +66,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import statistics
+from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Optional
@@ -216,6 +223,71 @@ class TickRow:
     merged: int
 
 
+class Timeseries(Sequence):
+    """A run's metrics samples held as columns, in time order.
+
+    ``t`` is a float column, ``host`` the hosting edge's id per sample
+    (``""`` before placement), and ``generated``, ``processed``,
+    ``dropped`` and ``merged`` are integer columns of running counts.
+    The per-edge metrics ``cpu``, ``mem_pct``, ``throughput_mbps``
+    (floats) and ``queue`` (integers) are one column each that holds a
+    value per edge per sample, sample by sample in ``edge_ids`` order,
+    so a run builds nine columns whatever its fleet size;
+    ``edge_column(name, edge_id)`` returns one edge's values. It reads as
+    a tuple of ``TickRow``: ``len()`` is the sample count, ``ts[k]``
+    builds sample k's row and a slice a tuple of rows. ``==`` compares
+    the columns.
+    """
+
+    __slots__ = ("edge_ids", "t", "host", "cpu", "mem_pct", "queue", "throughput_mbps",
+                 "generated", "processed", "dropped", "merged")
+
+    def __init__(self, edge_ids: list[str]) -> None:
+        self.edge_ids = tuple(edge_ids)
+        self.t = array("d")
+        self.host: list[str] = []
+        self.cpu = array("d")
+        self.mem_pct = array("d")
+        self.queue = array("q")
+        self.throughput_mbps = array("d")
+        self.generated = array("q")
+        self.processed = array("q")
+        self.dropped = array("q")
+        self.merged = array("q")
+
+    def edge_column(self, name: str, edge_id: str) -> array:
+        """One edge's values of the per-edge metric ``name``, one per sample."""
+        return getattr(self, name)[self.edge_ids.index(edge_id)::len(self.edge_ids)]
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        t = self.t[k]  # raises IndexError as a tuple would
+        m = len(self.edge_ids)
+        first = (k % len(self)) * m
+        span = slice(first, first + m)
+        return TickRow(
+            t=t,
+            host=self.host[k],
+            cpu=dict(zip(self.edge_ids, self.cpu[span])),
+            mem_pct=dict(zip(self.edge_ids, self.mem_pct[span])),
+            queue=dict(zip(self.edge_ids, self.queue[span])),
+            throughput_mbps=dict(zip(self.edge_ids, self.throughput_mbps[span])),
+            generated=self.generated[k],
+            processed=self.processed[k],
+            dropped=self.dropped[k],
+            merged=self.merged[k],
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Timeseries):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
 @dataclass(frozen=True)
 class EdgeMetrics:
     edge_id: str
@@ -246,7 +318,7 @@ class MetricsReport:
     per_edge: dict[str, EdgeMetrics]
     decisions: tuple[Decision, ...]
     per_robot_decisions: dict[str, tuple[Decision, ...]]
-    timeseries: tuple[TickRow, ...]
+    timeseries: Timeseries
 
     def cpu_balance_variance(self) -> float:
         """Population variance of per-edge mean CPU; low means balanced."""
@@ -370,8 +442,7 @@ class Simulation:
         self.cpu_peak = {eid: 0.0 for eid in self.edge_ids}
         self.mem_sum = {eid: 0.0 for eid in self.edge_ids}
         self.mem_peak = {eid: 0.0 for eid in self.edge_ids}
-        self.tick_count = 0
-        self.rows: list[TickRow] = []
+        self.timeseries = Timeseries(self.edge_ids)
 
         self._heap: list[tuple] = []
         self._seq = itertools.count()
@@ -592,6 +663,8 @@ class Simulation:
                     f"consensus diverged at iteration {iteration}: "
                     f"{rid} disagrees with {first}"
                 )
+            # Equal decisions: every robot's log shares the first robot's.
+            self.executors[rid].decisions[-1] = decision
         plan = results[first][1]
         if plan is not None:
             self._move_host(plan.target, now)
@@ -618,37 +691,25 @@ class Simulation:
                 self._transmit(robot_id, now)
 
     def _on_metrics(self, now: float) -> None:
-        cpu_row: dict[str, float] = {}
-        mem_row: dict[str, float] = {}
-        queue_row: dict[str, int] = {}
-        thpt_row: dict[str, float] = {}
+        ts = self.timeseries
+        ts.t.append(now)
+        ts.host.append(self.host or "")
         for eid in self.edge_ids:
             cpu, mem = self._true_load(eid, now)
             mem_pct = mem / self.profiles[eid].mem_max * 100.0
-            cpu_row[eid] = cpu
-            mem_row[eid] = mem_pct
-            queue_row[eid] = self.exec_states[eid].backlog
-            thpt_row[eid] = self.window_bits[eid] / self.cfg.sample_period / 1e6
+            ts.cpu.append(cpu)
+            ts.mem_pct.append(mem_pct)
+            ts.queue.append(self.exec_states[eid].backlog)
+            ts.throughput_mbps.append(self.window_bits[eid] / self.cfg.sample_period / 1e6)
             self.window_bits[eid] = 0.0
             self.cpu_sum[eid] += cpu
             self.cpu_peak[eid] = max(self.cpu_peak[eid], cpu)
             self.mem_sum[eid] += mem_pct
             self.mem_peak[eid] = max(self.mem_peak[eid], mem_pct)
-        self.tick_count += 1
-        self.rows.append(
-            TickRow(
-                t=now,
-                host=self.host or "",
-                cpu=cpu_row,
-                mem_pct=mem_row,
-                queue=queue_row,
-                throughput_mbps=thpt_row,
-                generated=self.generated,
-                processed=self.processed,
-                dropped=self.dropped,
-                merged=self.merged_total,
-            )
-        )
+        ts.generated.append(self.generated)
+        ts.processed.append(self.processed)
+        ts.dropped.append(self.dropped)
+        ts.merged.append(self.merged_total)
 
     def _check_completion(self, now: float) -> None:
         if self._done or self.total_quota == 0:
@@ -687,7 +748,7 @@ class Simulation:
                 f"message conservation violated: queued={queued} but "
                 f"edges+flight+buffer={accounted} (unmerged={unmerged})"
             )
-        ticks = max(self.tick_count, 1)
+        ticks = max(len(self.timeseries), 1)
         per_edge = {
             eid: EdgeMetrics(
                 edge_id=eid,
@@ -718,7 +779,7 @@ class Simulation:
             per_robot_decisions={
                 rid: tuple(self.executors[rid].decisions) for rid in self.robot_ids
             },
-            timeseries=tuple(self.rows),
+            timeseries=self.timeseries,
         )
 
 

@@ -1,14 +1,17 @@
 """Discrete-event harness: execution law, accounting, and comparisons."""
 
 import _random
+import gc
 import json
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from test_event_loop_reference import scenarios
 from test_golden import write_replay_fixture
 
 from offloadsim.cli import render_decisions_csv, render_metrics_csv, summary_dict
@@ -28,6 +31,8 @@ from offloadsim.scenarios import stress_scenario
 from offloadsim.simharness import (
     EdgeExecState,
     Simulation,
+    TickRow,
+    Timeseries,
     compare_schemes,
     edge_execute,
     inject_spikes,
@@ -373,6 +378,147 @@ def test_gateway_memory_is_bounded_by_the_fleet_not_the_horizon():
     edges, robots = len(sim.edge_ids), len(sim.robot_ids)
     assert _readings_held(sim.gateway) == {
         "DeviceSnapshot": edges, "NetworkSnapshot": robots * edges}
+
+
+# ------------------------------------------------------ the run's record
+
+def test_a_diverging_executor_stops_the_run(monkeypatch):
+    # Every robot's log shares one Decision per round only because this
+    # check has found the robots' decisions equal.
+    sim = Simulation(stress_scenario(seed=1, scheme="dynamic:both"))
+    executor = sim.executors["r2"]
+    honest = executor.on_proposals
+
+    def diverge_at_5(proposals, iteration):
+        decision, plan = honest(proposals, iteration)
+        if iteration == 5:
+            decision = replace(decision, switched=not decision.switched)
+        return decision, plan
+
+    monkeypatch.setattr(executor, "on_proposals", diverge_at_5)
+    with pytest.raises(RuntimeError,
+                       match="^consensus diverged at iteration 5: r2 disagrees with r1$"):
+        sim.run()
+
+
+def test_a_long_run_holds_its_record_compactly():
+    cfg = replace(stress_scenario(seed=1, scheme="dynamic:both"),
+                  duration=3600.0, nominal_duration=3000.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = run_scenario(cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        rows = len(report.timeseries)
+        report = replace(report, timeseries=())  # frees the time series alone
+        gc.collect()
+        timeseries_bytes = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows > 3_000
+    assert timeseries_bytes / rows <= 256
+    assert len(report.decisions) > 3_000
+    assert sorted(report.per_robot_decisions) == ["r1", "r2", "r3"]
+    for log in report.per_robot_decisions.values():
+        assert len(log) == len(report.decisions)
+        assert all(mine is shared for mine, shared in zip(log, report.decisions))
+
+
+class RowLoggingSimulation(Simulation):
+    """Also records each metrics sample as a ``TickRow`` of dicts, the
+    way the harness recorded its time series before it held columns."""
+
+    def __init__(self, cfg: ScenarioConfig) -> None:
+        super().__init__(cfg)
+        self.reference_rows: list[TickRow] = []
+
+    def _on_metrics(self, now: float) -> None:
+        loads = {eid: self._true_load(eid, now) for eid in self.edge_ids}
+        self.reference_rows.append(TickRow(
+            t=now,
+            host=self.host or "",
+            cpu={eid: cpu for eid, (cpu, _) in loads.items()},
+            mem_pct={eid: mem / self.profiles[eid].mem_max * 100.0
+                     for eid, (_, mem) in loads.items()},
+            queue={eid: self.exec_states[eid].backlog for eid in self.edge_ids},
+            throughput_mbps={eid: self.window_bits[eid] / self.cfg.sample_period / 1e6
+                             for eid in self.edge_ids},
+            generated=self.generated,
+            processed=self.processed,
+            dropped=self.dropped,
+            merged=self.merged_total,
+        ))
+        super()._on_metrics(now)
+
+
+def render_rows(edges: list[str], rows) -> str:
+    """metrics.csv rendered row by row from ``TickRow``s (the renderer's old body)."""
+    header = ["t", "host"]
+    for eid in edges:
+        header += [f"cpu_{eid}", f"mem_pct_{eid}", f"queue_{eid}", f"mbps_{eid}"]
+    header += ["generated", "processed", "dropped", "merged"]
+    lines = [",".join(header)]
+    for row in rows:
+        cells = [format(row.t, ".6f"), row.host]
+        for eid in edges:
+            cells += [
+                format(row.cpu[eid], ".6f"),
+                format(row.mem_pct[eid], ".6f"),
+                str(row.queue[eid]),
+                format(row.throughput_mbps[eid], ".6f"),
+            ]
+        cells += [str(row.generated), str(row.processed),
+                  str(row.dropped), str(row.merged)]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def slices(n: int):
+    bound = st.one_of(st.none(), st.integers(-n - 2, n + 2))
+    step = st.one_of(st.none(), st.integers(-3, 3).filter(bool))
+    return st.builds(slice, bound, bound, step)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=scenarios(), data=st.data())
+def test_timeseries_reads_as_the_tuple_of_rows_it_replaced(cfg, data):
+    sim = RowLoggingSimulation(cfg)
+    report = sim.run()
+    ts, rows = report.timeseries, tuple(sim.reference_rows)
+    assert isinstance(ts, Timeseries)
+    assert len(ts) == len(rows) > 0
+    assert tuple(ts) == rows
+    assert render_metrics_csv(report) == render_rows(sorted(report.per_edge), list(ts))
+    n = len(rows)
+    for k in data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=4)):
+        assert ts[k] == rows[k]
+    for cut in data.draw(st.lists(slices(n), min_size=1, max_size=4)):
+        assert ts[cut] == rows[cut]
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ts[k]
+
+
+def test_timeseries_equality_compares_every_column():
+    def series(host: str, queue: int) -> Timeseries:
+        ts = Timeseries(["e1", "e2"])
+        ts.t.append(0.0)
+        ts.host.append(host)
+        for eid in ("e1", "e2"):
+            ts.cpu.append(10.0)
+            ts.mem_pct.append(20.0)
+            ts.queue.append(queue if eid == "e2" else 0)
+            ts.throughput_mbps.append(0.5)
+        for col in (ts.generated, ts.processed, ts.dropped, ts.merged):
+            col.append(1)
+        return ts
+
+    assert series("e1", 3) == series("e1", 3)
+    assert series("e1", 3) != series("e2", 3)
+    assert series("e1", 3) != series("e1", 4)
+    assert series("e1", 3) != tuple(series("e1", 3))
+    assert Timeseries(["e1"]) != Timeseries(["e2"])
 
 
 # ------------------------------------------------------------- comparison
