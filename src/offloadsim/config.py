@@ -11,9 +11,10 @@ artifacts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -104,6 +105,8 @@ class EdgeSpec:
         for i, spike in enumerate(self.spikes):
             if not math.isfinite(spike.start):
                 raise ConfigError(f"edges[{eid}].spikes[{i}].start must be finite")
+            require_finite(f"edges[{eid}].spikes[{i}]", cpu_add=spike.cpu_add,
+                           mem_add=spike.mem_add)
             if not (math.isfinite(spike.duration) and spike.duration >= 0.0):
                 raise ConfigError(f"edges[{eid}].spikes[{i}].duration must be finite and >= 0")
 
@@ -254,231 +257,108 @@ def parse_scheme(scheme: str, edge_ids: list[str]) -> tuple[str, str]:
 
 
 # ------------------------------------------------------------- dict codec
+#
+# Both directions read the dataclasses themselves: their fields give the
+# keys and their order, their annotations the types, their defaults the
+# values of absent keys.
+
+# config_to_dict's top-level key order: scalars first, fleet last.
+_TOP_LEVEL_KEYS = (
+    "name", "scheme", "seed", "duration", "nominal_duration", "decision_period",
+    "sample_period", "sticky_bonus", "noise_amp", "task", "weights", "bounds",
+    "link", "spike_model", "exec_model", "robots", "edges",
+)
+_ROOT = "config"
+
+
+def _encode(value):
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    return value
+
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Fully explicit plain-dict form of a config (YAML-safe types only)."""
-    return {
-        "name": cfg.name,
-        "scheme": cfg.scheme,
-        "seed": cfg.seed,
-        "duration": cfg.duration,
-        "nominal_duration": cfg.nominal_duration,
-        "decision_period": cfg.decision_period,
-        "sample_period": cfg.sample_period,
-        "sticky_bonus": cfg.sticky_bonus,
-        "noise_amp": cfg.noise_amp,
-        "task": {
-            "task_id": cfg.task.task_id,
-            "mem_footprint": cfg.task.mem_footprint,
-            "input_rate": cfg.task.input_rate,
-            "work_per_message": cfg.task.work_per_message,
-        },
-        "weights": None if cfg.weights is None else {
-            "w_cpu": cfg.weights.w_cpu,
-            "w_mem": cfg.weights.w_mem,
-            "w_net": cfg.weights.w_net,
-        },
-        "bounds": {"min_rssi": cfg.bounds.min_rssi, "max_rssi": cfg.bounds.max_rssi},
-        "link": {
-            "ref_power_dbm": cfg.link.ref_power_dbm,
-            "ref_distance": cfg.link.ref_distance,
-            "path_loss_exp": cfg.link.path_loss_exp,
-            "shadow_sigma": cfg.link.shadow_sigma,
-            "seed": cfg.link.seed,
-        },
-        "spike_model": None if cfg.spike_model is None else {
-            "rate": cfg.spike_model.rate,
-            "cpu_range": list(cfg.spike_model.cpu_range),
-            "mem_range": list(cfg.spike_model.mem_range),
-            "duration_range": list(cfg.spike_model.duration_range),
-        },
-        "exec_model": {
-            "cpu_per_message": cfg.exec_model.cpu_per_message,
-            "task_cpu_cap": cfg.exec_model.task_cpu_cap,
-            "message_bytes": cfg.exec_model.message_bytes,
-            "base_latency": cfg.exec_model.base_latency,
-            "exec_tick": cfg.exec_model.exec_tick,
-        },
-        "robots": [
-            {
-                "robot_id": r.robot_id,
-                "x": r.x,
-                "y": r.y,
-                "waypoints": [list(w) for w in r.waypoints],
-                "input_rate": r.input_rate,
-            }
-            for r in cfg.robots
-        ],
-        "edges": [
-            {
-                "edge_id": e.edge_id,
-                "x": e.x,
-                "y": e.y,
-                "cpu_max": e.cpu_max,
-                "mem_max": e.mem_max,
-                "base_cpu": e.base_cpu,
-                "base_mem": e.base_mem,
-                "capacity_factor": e.capacity_factor,
-                "spikes": [
-                    {"start": s.start, "duration": s.duration,
-                     "cpu_add": s.cpu_add, "mem_add": s.mem_add}
-                    for s in e.spikes
-                ],
-            }
-            for e in cfg.edges
-        ],
-    }
-
-
-def _require(data: dict, key: str, context: str):
-    if key not in data:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return data[key]
-
-
-def _check_keys(data: dict, allowed: set[str], context: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+    data = _encode(cfg)
+    return {key: data[key] for key in _TOP_LEVEL_KEYS}
 
 
 def _int_field(value, name: str) -> int:
     try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)  # NaN, infinity, or a fraction int() would drop
         return int(value)
-    except (TypeError, ValueError, OverflowError):  # NaN, infinity, non-numbers
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a finite integer, got {value!r}") from None
+
+
+@cache
+def _typed_fields(cls) -> list[tuple[Field, object]]:
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]
+
+
+def _coerce(hint, value, label: str):
+    """``value`` as an instance of the annotation ``hint``; ``label`` names it in errors."""
+    if get_origin(hint) is Union:  # Optional[X]: a None never gets this far
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    if is_dataclass(hint):
+        return _decode(hint, value, label)
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        variadic = args[-1] is Ellipsis
+        if not isinstance(value, (list, tuple)) or not (variadic or len(value) == len(args)):
+            shape = "a list" if variadic else f"a list of {len(args)} values"
+            raise ConfigError(f"{label} must be {shape}, got {value!r}")
+        kinds = args[:1] * len(value) if variadic else args
+        return tuple(_coerce(kind, v, f"{label}[]") for kind, v in zip(kinds, value))
+    if hint is int:
+        return _int_field(value, label)
+    if hint is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{label} must be a string, got {value!r}")
+        return value
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{label} must be a number, got {value!r}") from None
+
+
+def _decode(cls, data, context: str):
+    """Build dataclass ``cls`` from mapping ``data``; ``context`` names it in errors.
+
+    A key that is absent or null takes the field's default.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context} must be a mapping, got {type(data).__name__}")
+    typed = _typed_fields(cls)
+    unknown = set(data) - {f.name for f, _ in typed}
+    if unknown:
+        raise ConfigError(f"{context}: unknown keys {sorted(unknown, key=str)}")
+    kwargs = {}
+    for f, hint in typed:
+        if data.get(f.name) is not None:
+            label = f.name if context == _ROOT else f"{context}.{f.name}"
+            kwargs[f.name] = _coerce(hint, data[f.name], label)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{context}: missing required key {f.name!r}")
+    try:
+        return cls(**kwargs)
+    except OffloadError as exc:
+        # A section whose checks name only the field gets its own name in front.
+        section = context.partition("[")[0]
+        if context == _ROOT or str(exc).startswith((f"{section}.", f"{section}[")):
+            raise
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a plain dict."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping, got {type(data).__name__}")
-    _check_keys(data, {
-        "name", "scheme", "seed", "duration", "nominal_duration", "decision_period",
-        "sample_period", "sticky_bonus", "noise_amp", "task", "weights", "bounds",
-        "link", "spike_model", "exec_model", "robots", "edges",
-    }, "config")
-
-    task_d = _require(data, "task", "config")
-    _check_keys(task_d, {"task_id", "mem_footprint", "input_rate", "work_per_message"}, "task")
-    try:
-        task = TaskSpec(
-            task_id=_require(task_d, "task_id", "task"),
-            mem_footprint=float(_require(task_d, "mem_footprint", "task")),
-            input_rate=float(task_d.get("input_rate", 1.0)),
-            work_per_message=float(task_d.get("work_per_message", 100.0)),
-        )
-    except OffloadError as exc:
-        raise ConfigError(f"task: {exc}") from None
-
-    weights = None
-    if data.get("weights") is not None:
-        w = data["weights"]
-        _check_keys(w, {"w_cpu", "w_mem", "w_net"}, "weights")
-        try:
-            weights = Weights(float(w["w_cpu"]), float(w["w_mem"]), float(w["w_net"]))
-        except OffloadError as exc:
-            raise ConfigError(f"weights: {exc}") from None
-
-    bounds_d = data.get("bounds") or {}
-    _check_keys(bounds_d, {"min_rssi", "max_rssi"}, "bounds")
-    try:
-        bounds = NetworkBounds(
-            min_rssi=float(bounds_d.get("min_rssi", -85.0)),
-            max_rssi=float(bounds_d.get("max_rssi", -30.0)),
-        )
-    except OffloadError as exc:
-        raise ConfigError(f"bounds: {exc}") from None
-
-    link_d = data.get("link") or {}
-    _check_keys(link_d, {"ref_power_dbm", "ref_distance", "path_loss_exp", "shadow_sigma", "seed"}, "link")
-    link = LinkModel(
-        ref_power_dbm=float(link_d.get("ref_power_dbm", -40.0)),
-        ref_distance=float(link_d.get("ref_distance", 1.0)),
-        path_loss_exp=float(link_d.get("path_loss_exp", 2.2)),
-        shadow_sigma=float(link_d.get("shadow_sigma", 2.0)),
-        seed=_int_field(link_d.get("seed", 0), "link.seed"),
-    )
-
-    spike_model = None
-    if data.get("spike_model") is not None:
-        s = data["spike_model"]
-        _check_keys(s, {"rate", "cpu_range", "mem_range", "duration_range"}, "spike_model")
-        spike_model = SpikeModel(
-            rate=float(_require(s, "rate", "spike_model")),
-            cpu_range=tuple(float(v) for v in s.get("cpu_range", (50.0, 70.0))),
-            mem_range=tuple(float(v) for v in s.get("mem_range", (800.0, 1600.0))),
-            duration_range=tuple(float(v) for v in s.get("duration_range", (20.0, 60.0))),
-        )
-
-    exec_d = data.get("exec_model") or {}
-    _check_keys(exec_d, {"cpu_per_message", "task_cpu_cap", "message_bytes", "base_latency", "exec_tick"}, "exec_model")
-    exec_model = ExecModel(
-        cpu_per_message=float(exec_d.get("cpu_per_message", 2.0)),
-        task_cpu_cap=float(exec_d.get("task_cpu_cap", 35.0)),
-        message_bytes=_int_field(exec_d.get("message_bytes", 50_000), "exec_model.message_bytes"),
-        base_latency=float(exec_d.get("base_latency", 0.005)),
-        exec_tick=float(exec_d.get("exec_tick", 0.1)),
-    )
-
-    robots = []
-    for rd in _require(data, "robots", "config"):
-        _check_keys(rd, {"robot_id", "x", "y", "waypoints", "input_rate"}, "robots[]")
-        robots.append(RobotSpec(
-            robot_id=_require(rd, "robot_id", "robots[]"),
-            x=float(rd.get("x", 0.0)),
-            y=float(rd.get("y", 0.0)),
-            waypoints=tuple(
-                (float(w[0]), float(w[1]), float(w[2])) for w in rd.get("waypoints") or ()
-            ),
-            input_rate=None if rd.get("input_rate") is None else float(rd["input_rate"]),
-        ))
-
-    edges = []
-    for ed in _require(data, "edges", "config"):
-        _check_keys(ed, {"edge_id", "x", "y", "cpu_max", "mem_max", "base_cpu",
-                         "base_mem", "capacity_factor", "spikes"}, "edges[]")
-        edges.append(EdgeSpec(
-            edge_id=_require(ed, "edge_id", "edges[]"),
-            x=float(ed.get("x", 0.0)),
-            y=float(ed.get("y", 0.0)),
-            cpu_max=float(ed.get("cpu_max", 100.0)),
-            mem_max=float(ed.get("mem_max", 4096.0)),
-            base_cpu=float(ed.get("base_cpu", 0.0)),
-            base_mem=float(ed.get("base_mem", 0.0)),
-            capacity_factor=float(ed.get("capacity_factor", 1.0)),
-            spikes=tuple(
-                LoadSpike(
-                    start=float(sd["start"]),
-                    duration=float(sd["duration"]),
-                    cpu_add=float(sd.get("cpu_add", 0.0)),
-                    mem_add=float(sd.get("mem_add", 0.0)),
-                )
-                for sd in ed.get("spikes") or ()
-            ),
-        ))
-
-    return ScenarioConfig(
-        name=_require(data, "name", "config"),
-        robots=tuple(robots),
-        edges=tuple(edges),
-        task=task,
-        scheme=data.get("scheme", "dynamic:both"),
-        weights=weights,
-        bounds=bounds,
-        link=link,
-        spike_model=spike_model,
-        exec_model=exec_model,
-        sticky_bonus=float(data.get("sticky_bonus", 0.05)),
-        decision_period=float(data.get("decision_period", 1.0)),
-        sample_period=float(data.get("sample_period", 1.0)),
-        noise_amp=float(data.get("noise_amp", 2.0)),
-        duration=float(data.get("duration", 600.0)),
-        nominal_duration=(
-            None if data.get("nominal_duration") is None else float(data["nominal_duration"])
-        ),
-        seed=_int_field(data.get("seed", 1), "seed"),
-    )
+    return _decode(ScenarioConfig, data, _ROOT)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -138,6 +138,35 @@ def test_yaml_nan_exits_one_naming_the_field(tmp_path, capsys, field, path):
     assert f"{field} must be finite, got nan" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("duration",), "abc", "duration must be a number, got 'abc'"),
+    (("robots", 0, "robot_id"), 7, "robots[].robot_id must be a string, got 7"),
+    (("robots",), 5, "robots must be a list, got 5"),
+    (("task",), 5, "task must be a mapping, got int"),
+    (("robots", 0, "waypoints"), [[0.0, 1.0]],
+     "robots[].waypoints[] must be a list of 3 values, got [0.0, 1.0]"),
+    (("spike_model",), {"cpu_range": [1]},
+     "spike_model.cpu_range must be a list of 2 values, got [1]"),
+    (("edges", 0, "spikes"), [{"duration": 5.0}], "edges[].spikes[]: missing required key 'start'"),
+    (("weights",), {"w_cpu": 0.5, "w_net": 0.5}, "weights: missing required key 'w_mem'"),
+    (("seed",), 1.7, "seed must be a finite integer, got 1.7"),
+    (("link", "seed"), 2.5, "link.seed must be a finite integer, got 2.5"),
+    (("exec_model", "message_bytes"), 1e3 + 0.5,
+     "exec_model.message_bytes must be a finite integer, got 1000.5"),
+])
+def test_yaml_malformed_value_exits_one_naming_the_field(tmp_path, capsys, path, value, message):
+    data = config_to_dict(tiny_config())
+    *parents, key = path
+    node = data
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", ".nan"),
     ("seed", ".inf"),

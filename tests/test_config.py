@@ -1,10 +1,14 @@
 """Scenario configuration: validation, presets, and file round-trips."""
 
+import copy
 import math
 import re
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from test_event_loop_reference import scenarios
 
 from offloadsim.config import (
     EdgeSpec,
@@ -146,6 +150,9 @@ FLOAT_FIELDS = {
     "robots[r1].waypoints[1].x": lambda v: _waypoint(1, v),
     "robots[r1].waypoints[1].y": lambda v: _waypoint(2, v),
     "robots[r1].input_rate": lambda v: RobotSpec("r1", input_rate=v),
+    **{f"edges[e1].spikes[0].{name}":
+       (lambda v, name=name: EdgeSpec("e1", spikes=(LoadSpike(0.0, 1.0, **{name: v}),)))
+       for name in ("cpu_add", "mem_add")},
     **{f"edges[e1].{name}": (lambda v, name=name: EdgeSpec("e1", **{name: v}))
        for name in ("x", "y", "cpu_max", "mem_max", "base_cpu", "base_mem", "capacity_factor")},
     **{f"link.{name}": (lambda v, name=name: LinkModel(**{name: v}))
@@ -263,3 +270,71 @@ def test_load_config_rejects_invalid_yaml(tmp_path):
     path.write_text("robots: [unclosed", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(path)
+
+
+# ------------------------------------------------------- codec pins
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("cfg, name", [
+    (stress_scenario(1), "stress.yaml"),
+    (flapping_scenario(0.05), "flapping.yaml"),
+])
+def test_dump_config_writes_the_bundled_preset_byte_for_byte(tmp_path, cfg, name):
+    path = tmp_path / name
+    dump_config(cfg, path)
+    assert path.read_bytes() == (CONFIGS / name).read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=scenarios())
+def test_random_configs_round_trip_through_dict_and_yaml(cfg):
+    data = config_to_dict(cfg)
+    assert config_from_dict(data) == cfg
+    text = yaml.safe_dump(data, sort_keys=False, default_flow_style=None)
+    assert config_from_dict(yaml.safe_load(text)) == cfg
+
+
+_ABSENT = object()
+MUTANTS = [_ABSENT, None, math.nan, math.inf, -1.0, 0.0, 1e9, -85.0, "abc", "1.5",
+           [1], {"a": 1}, 7, True, 1.7]
+
+
+def _positions(node, path=()):
+    """Path of every mapping key and list element below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield (*path, key)
+        if isinstance(child, (dict, list)):
+            yield from _positions(child, (*path, key))
+
+
+def _mutated(data, path, value):
+    data = copy.deepcopy(data)
+    *parents, key = path
+    node = data
+    for step in parents:
+        node = node[step]
+    if value is _ABSENT:
+        del node[key]
+    else:
+        node[key] = value
+    return data
+
+
+@pytest.mark.parametrize("value", MUTANTS, ids=lambda v: "absent" if v is _ABSENT else repr(v))
+def test_every_malformed_value_is_a_config_error(value):
+    # Whatever a file puts at any position, the codec either builds a
+    # config or says what is wrong: never a raw Python exception.
+    raw = []
+    for cfg in (stress_scenario(1), flapping_scenario(0.05)):
+        data = config_to_dict(cfg)
+        for path in _positions(data):
+            try:
+                config_from_dict(_mutated(data, path, value))
+            except ConfigError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the test reports them all
+                raw.append(f"{path}: {type(exc).__name__}: {exc}")
+    assert not raw, f"{len(raw)} raw exceptions, first: {raw[:3]}"
