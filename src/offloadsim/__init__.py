@@ -23,12 +23,9 @@ from .config import (
     parse_scheme,
 )
 from .consensus import (
-    AllocationMemory,
     ConsensusExecutor,
     Decision,
-    RemapPlan,
     consensus,
-    decide_offload,
     quorum_size,
 )
 from .errors import (
@@ -40,7 +37,7 @@ from .errors import (
     OffloadError,
     TraceFormatError,
 )
-from .netsim import LinkModel, NodePose, deliver, path_loss_dbm, rssi_at, throughput_of
+from .netsim import LinkModel, deliver, path_loss_dbm, rssi_at, throughput_of
 from .profiling import (
     Gateway,
     LoadSpike,
@@ -63,7 +60,6 @@ from .utility import (
 )
 
 __all__ = [
-    "AllocationMemory",
     "ConfigError",
     "ConsensusExecutor",
     "Decision",
@@ -80,9 +76,7 @@ __all__ = [
     "NetworkBounds",
     "NetworkSnapshot",
     "NoCandidatesError",
-    "NodePose",
     "OffloadError",
-    "RemapPlan",
     "RobotSpec",
     "ScenarioConfig",
     "Scheduler",
@@ -100,7 +94,6 @@ __all__ = [
     "config_to_dict",
     "consensus",
     "cpu_utility",
-    "decide_offload",
     "deliver",
     "dump_config",
     "exchange_and_sum",

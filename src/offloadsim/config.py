@@ -21,6 +21,7 @@ import yaml
 from .errors import ConfigError, OffloadError, require_finite
 from .netsim import LinkModel
 from .profiling import LoadSpike
+from .scheduler import validate_sticky_bonus
 from .utility import NetworkBounds, TaskSpec, Weights
 
 # Preset weight vectors for the dynamic scheme variants.
@@ -202,8 +203,7 @@ class ScenarioConfig:
         require_finite("", sticky_bonus=self.sticky_bonus, decision_period=self.decision_period,
                        sample_period=self.sample_period, noise_amp=self.noise_amp,
                        duration=self.duration, nominal_duration=self.nominal_duration)
-        if not (0.0 <= self.sticky_bonus <= 0.5):
-            raise ConfigError("sticky_bonus must be in [0, 0.5]")
+        validate_sticky_bonus(self.sticky_bonus)
         for name in ("decision_period", "sample_period", "duration"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive")
@@ -287,8 +287,8 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 def _int_field(value, name: str) -> int:
     try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(value)  # NaN, infinity, or a fraction int() would drop
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)  # a YAML boolean, NaN, infinity, or a fraction int() would drop
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a finite integer, got {value!r}") from None
@@ -321,6 +321,8 @@ def _coerce(hint, value, label: str):
             raise ConfigError(f"{label} must be a string, got {value!r}")
         return value
     try:
+        if isinstance(value, bool):
+            raise TypeError(value)  # YAML's true, on and yes are not numbers
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{label} must be a number, got {value!r}") from None

@@ -1,4 +1,4 @@
-"""Fleet-wide consensus and task remapping.
+"""Fleet-wide consensus on which edge hosts the task.
 
 Every robot runs the same executor logic over the same set of
 proposals, so consensus needs no leader: the decision is a pure
@@ -9,9 +9,8 @@ and the previous winner stands.
 
 Vote ties prefer the incumbent, then the smallest edge id, so a split
 fleet cannot oscillate. The first quorate winner simply becomes the
-task's home (launching is not a switch); after that an actual move
-only happens when the winner changed AND differs from the last edge
-the task was remapped to.
+task's home (launching is not a switch); after that a decision is a
+switch exactly when its winner differs from the previous one.
 """
 
 from __future__ import annotations
@@ -37,21 +36,6 @@ class Decision:
     votes: dict[str, int]
     switched: bool
     quorate: bool = True
-
-
-@dataclass
-class AllocationMemory:
-    """What the executor remembers between rounds."""
-
-    last_remapped: Optional[str] = None
-    last_iteration: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class RemapPlan:
-    """A move of the task onto the winning edge."""
-
-    target: str
 
 
 def quorum_size(total_robots: int) -> int:
@@ -92,43 +76,12 @@ def consensus(
     return Decision(iteration, winner, votes, switched=switched, quorate=True)
 
 
-def decide_offload(
-    decision: Decision,
-    memory: AllocationMemory,
-) -> Optional[RemapPlan]:
-    """Turn a decision into a remap plan, or None when nothing moves.
-
-    The first quorate winner is recorded as the task's initial home
-    without a plan (launching is not remapping). After that, a plan is
-    emitted only for a quorate decision whose winner both changed this
-    round and differs from the last target actually remapped to; this
-    guards against replaying a move after deferred rounds blurred the
-    previous-winner bookkeeping.
-    """
-    if decision.quorate and decision.winner is not None:
-        if memory.last_iteration is not None and memory.last_iteration >= decision.iteration:
-            raise ConfigError(
-                f"decision iterations must increase, got {decision.iteration} "
-                f"after {memory.last_iteration}"
-            )
-        memory.last_iteration = decision.iteration
-        if memory.last_remapped is None:
-            memory.last_remapped = decision.winner
-            return None
-    if not decision.quorate or not decision.switched or decision.winner is None:
-        return None
-    if decision.winner == memory.last_remapped:
-        return None
-    memory.last_remapped = decision.winner
-    return RemapPlan(decision.winner)
-
-
 class ConsensusExecutor:
-    """One robot's executor: votes in, decisions and remap plans out.
+    """One robot's executor: votes in, decisions out.
 
     Every robot runs one of these over the same proposal set each
-    round; the harness applies at most one of the (identical) plans
-    per iteration.
+    round; ``previous`` is where this robot's decisions have placed the
+    task so far (None before the first quorate round).
     """
 
     def __init__(self, robot_id: str, total_robots: int) -> None:
@@ -136,15 +89,10 @@ class ConsensusExecutor:
         self.robot_id = robot_id
         self.total_robots = total_robots
         self.previous: Optional[str] = None
-        self.memory = AllocationMemory()
         self.decisions: list[Decision] = []
 
-    def on_proposals(
-        self, proposals: Mapping[str, str], iteration: int
-    ) -> tuple[Decision, Optional[RemapPlan]]:
+    def on_proposals(self, proposals: Mapping[str, str], iteration: int) -> Decision:
         decision = consensus(proposals, self.previous, self.total_robots, iteration)
-        if decision.quorate:
-            self.previous = decision.winner
-        plan = decide_offload(decision, self.memory)
+        self.previous = decision.winner  # a deferred round's winner is previous
         self.decisions.append(decision)
-        return decision, plan
+        return decision

@@ -45,21 +45,6 @@ DEFAULT_RATE_TIERS: tuple[tuple[float, float], ...] = (
 
 
 @dataclass(frozen=True)
-class NodePose:
-    """Planar position of a node at a moment in time."""
-
-    node_id: str
-    x: float
-    y: float
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name, v in (("x", self.x), ("y", self.y), ("t", self.t)):
-            if not math.isfinite(v):
-                raise ConfigError(f"{self.node_id}: pose {name} must be finite, got {v}")
-
-
-@dataclass(frozen=True)
 class LinkModel:
     """Log-distance path-loss channel.
 

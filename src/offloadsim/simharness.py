@@ -32,15 +32,15 @@ also the replayed CPU load and link RSSI. A robot that has heard from
 no edge casts no vote, so a round before the first reading of any kind
 is deferred.
 
-The loop does only work whose result is read. Only the hosting edge
+The loop does only work whose result is read. Only the host edge
 holds work, so an exec tick advances the host alone (an idle edge is a
 fixed point of ``edge_execute``) and nothing before the first
 placement. Only the decision round reads synthetic samples, so they
 are taken under dynamic schemes only. Spike load is read from each
-device profile's step table (``SpikeTable``). Edges never move, so
-each edge's pose is built once, and a link whose robot has no waypoints
-computes its path loss on first use and keeps it; a robot with
-waypoints recomputes it from its pose at each use. A message is only
+device profile's step table (``SpikeTable``), once per edge per
+metrics sample. A link whose robot has no waypoints computes its path
+loss on first use and keeps it; a robot with waypoints recomputes it
+from its pose at each use. A message is only
 its robot's id in the pre-placement buffer and in an arrival event, so
 sends and arrivals build no message objects. ``run()`` calls each
 ``_on_<kind>`` handler directly. A sample draws each link's shadowing
@@ -50,10 +50,15 @@ drawing the same key again; a single run seeds each draw key once.
 ``compare_schemes`` gives its runs one memo of shadowing and noise
 draws, so a draw they share is seeded once.
 
+Where the task runs is recorded once per robot, as its executor's
+``previous`` winner, and once for the run, as ``Simulation.host``; the
+host moves whenever the round's winner differs from it.
+
 A report holds its record compactly. Its time series (``Timeseries``)
 is one float or integer column per metric, read as a tuple of
 ``TickRow``, and once a round's decisions are found equal every
-robot's log holds the first robot's ``Decision`` for that round.
+robot's log holds the first robot's ``Decision`` for that round; the
+first robot's log is the report's ``decisions``.
 
 Scheme semantics: ``fixed:<edge>`` pins the task to one edge and runs
 no scheduler at all; ``dynamic:<variant>`` runs the full decision
@@ -76,7 +81,7 @@ from typing import Optional
 from .config import EdgeSpec, ScenarioConfig, SpikeModel, parse_scheme
 from .consensus import ConsensusExecutor, Decision
 from .errors import ConfigError, TraceFormatError
-from .netsim import NodePose, deliver, path_loss_dbm, rssi_at
+from .netsim import deliver, path_loss_dbm, rssi_at
 from .profiling import (
     DeviceProfile,
     Gateway,
@@ -143,7 +148,6 @@ class EdgeExecState:
     work_credit: float = 0.0
     task_cpu: float = 0.0
     rate_ema: float = 0.0
-    hosting: bool = False
     merged_total: int = 0
 
     @property
@@ -226,7 +230,7 @@ class TickRow:
 class Timeseries(Sequence):
     """A run's metrics samples held as columns, in time order.
 
-    ``t`` is a float column, ``host`` the hosting edge's id per sample
+    ``t`` is a float column, ``host`` the host edge's id per sample
     (``""`` before placement), and ``generated``, ``processed``,
     ``dropped`` and ``merged`` are integer columns of running counts.
     The per-edge metrics ``cpu``, ``mem_pct``, ``throughput_mbps``
@@ -387,8 +391,6 @@ class Simulation:
                     f"network trace names unknown robots: {robots}, unknown edges: {edges}"
                 )
 
-        self.edge_poses = {eid: NodePose(eid, spec.x, spec.y)
-                           for eid, spec in sorted(self.edges.items())}
         # Path loss per edge of each robot without waypoints, filled on first use.
         self._static_loss: dict[str, dict[str, float]] = {
             rid: {} for rid in self.robot_ids if not self.robots[rid].waypoints
@@ -432,7 +434,6 @@ class Simulation:
         self.merged_total = 0
         self.switch_count = 0
         self.iteration = 0
-        self.decision_log: list[Decision] = []
         self.completed_at: Optional[float] = None
 
         # metrics accumulators
@@ -510,7 +511,7 @@ class Simulation:
 
     def _path_loss(self, robot_id: str, edge_id: str, now: float) -> float:
         x, y = self.robots[robot_id].pose_at(now)
-        edge = self.edge_poses[edge_id]
+        edge = self.edges[edge_id]
         return path_loss_dbm(self.cfg.link, x, y, edge.x, edge.y)
 
     def _link_rssi(self, robot_id: str, edge_id: str, now: float) -> float:
@@ -531,23 +532,30 @@ class Simulation:
                 loss = static[edge_id] = self._path_loss(robot_id, edge_id, now)
         return rssi_at(self.cfg.link, loss, robot_id, edge_id, now, self.draws)
 
-    def _true_cpu(self, eid: str, now: float) -> float:
-        """Actual cpu % on an edge, including task-induced load."""
+    def _true_cpu(self, eid: str, now: float, spike_cpu: Optional[float] = None) -> float:
+        """Actual cpu % on an edge, including task-induced load.
+
+        ``spike_cpu`` is the edge's spike CPU at ``now`` when the caller
+        has read it already.
+        """
         profile = self.profiles[eid]
         if self.replay:
             reading = self.gateway.devices[eid]
             cpu = profile.base_cpu if reading is None else reading.cpu_used
         else:
-            cpu = profile.base_cpu + profile.spike_table.at(now)[0] + self.exec_states[eid].task_cpu
+            if spike_cpu is None:
+                spike_cpu = profile.spike_table.at(now)[0]
+            cpu = profile.base_cpu + spike_cpu + self.exec_states[eid].task_cpu
         return max(0.0, min(profile.cpu_max, cpu))
 
     def _true_load(self, eid: str, now: float) -> tuple[float, float]:
         """Actual (cpu %, mem MB) on an edge, including task-induced load."""
         profile = self.profiles[eid]
-        mem = profile.base_mem + profile.spike_table.at(now)[1]
-        if self.exec_states[eid].hosting:
+        spike_cpu, spike_mem = profile.spike_table.at(now)
+        mem = profile.base_mem + spike_mem
+        if eid == self.host:
             mem += self.cfg.task.mem_footprint
-        return self._true_cpu(eid, now), max(0.0, min(profile.mem_max, mem))
+        return self._true_cpu(eid, now, spike_cpu), max(0.0, min(profile.mem_max, mem))
 
     # -------------------------------------------------------------- events
 
@@ -651,38 +659,26 @@ class Simulation:
             rid: proposal.max_edge
             for rid, proposal in fleet_proposals(voters, view, iteration).items()
         } if voters else {}
-        results = {
-            rid: self.executors[rid].on_proposals(proposals, iteration)
-            for rid in self.robot_ids
-        }
-        first = self.robot_ids[0]
-        decision = results[first][0]
-        for rid in self.robot_ids[1:]:
-            if results[rid][0] != decision:
+        first, *rest = self.robot_ids
+        decision = self.executors[first].on_proposals(proposals, iteration)
+        for rid in rest:
+            if self.executors[rid].on_proposals(proposals, iteration) != decision:
                 raise RuntimeError(
                     f"consensus diverged at iteration {iteration}: "
                     f"{rid} disagrees with {first}"
                 )
             # Equal decisions: every robot's log shares the first robot's.
             self.executors[rid].decisions[-1] = decision
-        plan = results[first][1]
-        if plan is not None:
-            self._move_host(plan.target, now)
-            self.switch_count += 1
-        elif self.host is None and decision.quorate and decision.winner is not None:
-            # First placement: the task starts running at the first
-            # quorate winner. Launching is not a remap, so it does not
-            # count toward switch_count.
+        if decision.winner is not None and decision.winner != self.host:
+            # The first placement launches the task; it is not a switch.
+            self.switch_count += decision.switched
             self._move_host(decision.winner, now)
         for rid in self.robot_ids:
             self.schedulers[rid].commit(decision.winner)
-        self.decision_log.append(decision)
 
     def _move_host(self, new_host: str, now: float) -> None:
         old = self.host
         self.host = new_host
-        for eid, st in self.exec_states.items():
-            st.hosting = eid == new_host
         if old is not None and old != new_host:
             apply_remap(self.exec_states[old], self.exec_states[new_host])
         if old is None and self.pre_host_buffer:
@@ -749,6 +745,7 @@ class Simulation:
                 f"edges+flight+buffer={accounted} (unmerged={unmerged})"
             )
         ticks = max(len(self.timeseries), 1)
+        logs = {rid: tuple(self.executors[rid].decisions) for rid in self.robot_ids}
         per_edge = {
             eid: EdgeMetrics(
                 edge_id=eid,
@@ -775,10 +772,8 @@ class Simulation:
             queued=queued,
             dropped=self.dropped,
             per_edge=per_edge,
-            decisions=tuple(self.decision_log),
-            per_robot_decisions={
-                rid: tuple(self.executors[rid].decisions) for rid in self.robot_ids
-            },
+            decisions=logs[self.robot_ids[0]],
+            per_robot_decisions=logs,
             timeseries=self.timeseries,
         )
 

@@ -146,8 +146,6 @@ class TaskSpec:
 
 def cpu_utility(snapshot: DeviceSnapshot) -> float:
     """Fraction of CPU budget still free: (max - used) / max, clamped to [0, 1]."""
-    if snapshot.cpu_max <= 0.0:
-        raise InvalidSnapshotError(f"{snapshot.edge_id}: cpu_max must be positive")
     return clamp01((snapshot.cpu_max - snapshot.cpu_used) / snapshot.cpu_max)
 
 
@@ -158,18 +156,12 @@ def memory_utility(snapshot: DeviceSnapshot, task: TaskSpec) -> float:
     An edge that cannot even hold the task footprint clamps to 0 rather
     than going negative, so it never outranks a feasible edge.
     """
-    if snapshot.mem_max <= 0.0:
-        raise InvalidSnapshotError(f"{snapshot.edge_id}: mem_max must be positive")
     raw = (snapshot.mem_max - task.mem_footprint - snapshot.mem_used) / snapshot.mem_max
     return clamp01(raw)
 
 
 def rssi_utility(reading: NetworkSnapshot, bounds: NetworkBounds) -> float:
     """Linear map of RSSI onto [0, 1] between the usable floor and the ceiling."""
-    if not (bounds.min_rssi < bounds.max_rssi):
-        raise InvalidBoundsError(
-            f"min_rssi {bounds.min_rssi} must be below max_rssi {bounds.max_rssi}"
-        )
     return clamp01((reading.rssi - bounds.min_rssi) / (bounds.max_rssi - bounds.min_rssi))
 
 

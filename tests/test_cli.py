@@ -153,6 +153,8 @@ def test_yaml_nan_exits_one_naming_the_field(tmp_path, capsys, field, path):
     (("link", "seed"), 2.5, "link.seed must be a finite integer, got 2.5"),
     (("exec_model", "message_bytes"), 1e3 + 0.5,
      "exec_model.message_bytes must be a finite integer, got 1000.5"),
+    (("seed",), True, "seed must be a finite integer, got True"),
+    (("noise_amp",), True, "noise_amp must be a number, got True"),
 ])
 def test_yaml_malformed_value_exits_one_naming_the_field(tmp_path, capsys, path, value, message):
     data = config_to_dict(tiny_config())

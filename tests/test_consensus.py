@@ -1,4 +1,4 @@
-"""Tests for consensus voting, allocation memory, and remap plans."""
+"""Tests for consensus voting and the per-robot executor."""
 
 from __future__ import annotations
 
@@ -9,14 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from offloadsim.errors import ConfigError
-from offloadsim.consensus import (
-    AllocationMemory,
-    ConsensusExecutor,
-    Decision,
-    consensus,
-    decide_offload,
-    quorum_size,
-)
+from offloadsim.consensus import ConsensusExecutor, consensus, quorum_size
 
 
 # --------------------------------------------------------------- consensus
@@ -87,88 +80,37 @@ def test_winner_always_has_maximal_votes(proposals, previous):
     assert d.votes[d.winner] == max(counts.values())
 
 
-# --------------------------------------------------------- offload memory
-
-def test_first_quorate_winner_becomes_home_without_plan():
-    # Launching the task at its first home is not a remap.
-    memory = AllocationMemory()
-    d = Decision(0, "e1", {"e1": 3}, switched=False)
-    assert decide_offload(d, memory) is None
-    assert memory.last_remapped == "e1"
-    assert memory.last_iteration == 0
-
-
-def test_switch_decision_emits_a_plan_targeting_the_winner():
-    memory = AllocationMemory(last_remapped="e1")
-    d = Decision(1, "e2", {"e2": 2, "e1": 1}, switched=True)
-    plan = decide_offload(d, memory)
-    assert plan is not None
-    assert plan.target == "e2"
-    assert memory.last_remapped == "e2"
-    assert memory.last_iteration == 1
-
-
-def test_unswitched_decision_emits_no_plan():
-    memory = AllocationMemory(last_remapped="e1")
-    d = Decision(2, "e1", {"e1": 3}, switched=False)
-    assert decide_offload(d, memory) is None
-    assert memory.last_remapped == "e1"
-
-
-def test_winner_equal_to_last_remapped_is_suppressed():
-    # A deferred round can blur previous-winner bookkeeping; the memory
-    # of the last actual remap target must still block a replay.
-    memory = AllocationMemory(last_remapped="e1")
-    d = Decision(5, "e1", {"e1": 2, "e2": 1}, switched=True)
-    assert decide_offload(d, memory) is None
-
-
-def test_deferred_decision_never_plans():
-    memory = AllocationMemory()
-    d = Decision(3, "e1", {}, switched=False, quorate=False)
-    assert decide_offload(d, memory) is None
-    assert memory.last_iteration is None
-
-
-def test_history_iterations_must_increase():
-    memory = AllocationMemory()
-    decide_offload(Decision(1, "e1", {"e1": 1}, switched=True), memory)
-    with pytest.raises(ConfigError):
-        decide_offload(Decision(1, "e2", {"e2": 1}, switched=True), memory)
-
+# -------------------------------------------------------------- executor
 
 def test_stable_proposals_never_move_the_task():
     ex = ConsensusExecutor("r1", 3)
-    plans = []
     for it in range(20):
-        _, plan = ex.on_proposals({"r1": "e1", "r2": "e1", "r3": "e1"}, it)
-        if plan:
-            plans.append(plan)
-    assert plans == []
-    assert ex.memory.last_remapped == "e1"
+        ex.on_proposals({"r1": "e1", "r2": "e1", "r3": "e1"}, it)
+    assert ex.previous == "e1"
     assert all(not d.switched for d in ex.decisions)
 
-
-# -------------------------------------------------------------- executor
 
 def test_executors_agree_given_the_same_proposals():
     fleet = [ConsensusExecutor(f"r{i}", 3) for i in (1, 2, 3)]
     rng = random.Random(11)
     for it in range(50):
         proposals = {f"r{i}": rng.choice(["e1", "e2", "e3"]) for i in (1, 2, 3)}
-        decisions = [ex.on_proposals(proposals, it)[0] for ex in fleet]
+        decisions = [ex.on_proposals(proposals, it) for ex in fleet]
         assert decisions[0] == decisions[1] == decisions[2]
     assert fleet[0].decisions == fleet[1].decisions == fleet[2].decisions
 
 
 def test_executor_defers_below_quorum_then_recovers():
     ex = ConsensusExecutor("r1", 4)
-    d1, p1 = ex.on_proposals({"r1": "e1", "r2": "e1"}, 0)
-    assert d1.quorate and p1 is None  # first home, not a remap
-    assert ex.memory.last_remapped == "e1"
-    d2, p2 = ex.on_proposals({"r1": "e2"}, 1)
-    assert not d2.quorate and d2.winner == "e1" and p2 is None
-    d3, p3 = ex.on_proposals({"r1": "e1", "r2": "e1", "r3": "e1"}, 2)
-    assert d3.quorate and d3.winner == "e1" and p3 is None  # already there
-    d4, p4 = ex.on_proposals({"r1": "e2", "r2": "e2", "r3": "e1"}, 3)
-    assert p4 is not None and p4.target == "e2"  # a real move still plans
+    d1 = ex.on_proposals({"r1": "e1", "r2": "e1"}, 0)
+    assert d1.quorate and not d1.switched  # first home, not a switch
+    assert ex.previous == "e1"
+    d2 = ex.on_proposals({"r1": "e2"}, 1)
+    assert not d2.quorate and d2.winner == "e1" and not d2.switched
+    assert ex.previous == "e1"  # a deferred round moves nothing
+    d3 = ex.on_proposals({"r1": "e1", "r2": "e1", "r3": "e1"}, 2)
+    assert d3.quorate and d3.winner == "e1" and not d3.switched  # already there
+    d4 = ex.on_proposals({"r1": "e2", "r2": "e2", "r3": "e1"}, 3)
+    assert d4.switched and d4.winner == "e2"  # a real move still switches
+    assert ex.previous == "e2"
+    assert ex.decisions == [d1, d2, d3, d4]

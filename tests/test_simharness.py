@@ -27,7 +27,7 @@ from offloadsim.netsim import LinkModel
 from offloadsim.consensus import Decision
 from offloadsim.errors import ConfigError, NoCandidatesError, TraceFormatError
 from offloadsim.profiling import Gateway
-from offloadsim.scenarios import stress_scenario
+from offloadsim.scenarios import flapping_scenario, stress_scenario
 from offloadsim.simharness import (
     EdgeExecState,
     Simulation,
@@ -309,7 +309,11 @@ def test_one_silent_robot_blocks_merges_but_not_completion():
     assert rep.processing_frequency == 0.0
 
 
-def test_switch_count_matches_decision_log(monkeypatch):
+@pytest.mark.parametrize("cfg", [
+    stress_scenario(seed=4, scheme="dynamic:both"),  # spikes force a move
+    flapping_scenario(sticky_bonus=0.0),  # the fleet chases every swap
+], ids=["stress", "flapping"])
+def test_switch_count_matches_decision_log(monkeypatch, cfg):
     # perfbench's tracer counts switches as calls to simharness.apply_remap.
     moves = []
     apply_remap = simharness.apply_remap
@@ -319,12 +323,26 @@ def test_switch_count_matches_decision_log(monkeypatch):
         apply_remap(src, dst)
 
     monkeypatch.setattr(simharness, "apply_remap", recording)
-    rep = run_scenario(stress_scenario(seed=4, scheme="dynamic:both"))
-    assert rep.switch_count >= 1  # spikes force at least one move
-    assert rep.switch_count == sum(1 for d in rep.decisions if d.switched)
+    sim = Simulation(cfg)
+    hosts = []
+    move_host = sim._move_host
+
+    def recording_host(new_host, now):
+        hosts.append(new_host)
+        move_host(new_host, now)
+
+    sim._move_host = recording_host
+    rep = sim.run()
+    switched = [d.winner for d in rep.decisions if d.switched]
+    assert rep.switch_count >= 1
+    assert rep.switch_count == len(switched)
     assert len(moves) == rep.switch_count
-    assert [dst for _, dst in moves] == [d.winner for d in rep.decisions if d.switched]
+    assert [dst for _, dst in moves] == switched
     assert all(src != dst for src, dst in moves)
+    # The first quorate winner becomes the host without counting as a switch.
+    first = next(d for d in rep.decisions if d.quorate)
+    assert not first.switched
+    assert hosts == [first.winner, *switched]
 
 
 def test_each_robot_is_scored_once_per_decision_round(monkeypatch):
@@ -390,10 +408,10 @@ def test_a_diverging_executor_stops_the_run(monkeypatch):
     honest = executor.on_proposals
 
     def diverge_at_5(proposals, iteration):
-        decision, plan = honest(proposals, iteration)
+        decision = honest(proposals, iteration)
         if iteration == 5:
             decision = replace(decision, switched=not decision.switched)
-        return decision, plan
+        return decision
 
     monkeypatch.setattr(executor, "on_proposals", diverge_at_5)
     with pytest.raises(RuntimeError,
@@ -701,8 +719,8 @@ def test_a_send_at_a_sample_instant_seeds_nothing(monkeypatch):
         seeded[now] += len(keys) - before
 
     sim._on_send = send
-    sim.run()
-    assert sim.decision_log[0].winner is not None  # placed at 1 s, so later sends transmit
+    report = sim.run()
+    assert report.decisions[0].winner is not None  # placed at 1 s, so later sends transmit
     transmitted = [t for t in seeded if t > 1.0]
     assert sum(t.is_integer() for t in transmitted) == 19
     assert all(seeded[t] == (0 if t.is_integer() else 2) for t in transmitted)
@@ -833,15 +851,13 @@ def test_static_links_compute_path_loss_once_and_build_no_poses(monkeypatch, dur
                   duration=duration, nominal_duration=None)
     assert not any(r.waypoints for r in cfg.robots)  # every link is static
     sim = Simulation(cfg)
-    losses, poses = [], []
+    losses = []
     path_loss = simharness.path_loss_dbm
     monkeypatch.setattr(simharness, "path_loss_dbm",
                         lambda *args: losses.append(args) or path_loss(*args))
-    monkeypatch.setattr(netsim.NodePose, "__post_init__", lambda pose: poses.append(pose))
     report = sim.run()
     assert report.generated > 0 and sim.iteration > 0  # sends and samples happened
     assert 0 < len(losses) <= len(cfg.robots) * len(cfg.edges)
-    assert poses == []
 
 
 def test_simulation_shares_one_spike_table_per_edge():
