@@ -59,8 +59,7 @@ def consensus(
     if len(proposals) < needed:
         return Decision(iteration, previous, {}, switched=False, quorate=False)
     votes: dict[str, int] = {}
-    for robot_id in sorted(proposals):
-        edge = proposals[robot_id]
+    for edge in proposals.values():  # a count does not depend on the order
         votes[edge] = votes.get(edge, 0) + 1
     votes = dict(sorted(votes.items()))
     top = max(votes.values())

@@ -1,12 +1,15 @@
 """Resource profilers and the fleet's reading store.
 
-Each edge device is watched by a profiler that emits periodic
-``DeviceSnapshot`` readings; each robot additionally measures the RSSI
-of its own links. The ``Gateway`` is the fleet's one store: it keeps
-the latest device reading per edge and the latest link reading per
-(robot, edge) pair, and flags a pair stale once its older reading is
-more than three sample periods old. Staleness policy (what to do about
-a stale edge) belongs to the scheduler; the store only reports it.
+Each edge device is watched by a profiler that emits periodic CPU and
+memory readings; each robot additionally measures the RSSI of its own
+links. The ``Gateway`` is the fleet's one store, and it holds readings
+as float columns aligned with its sorted edge ids: the latest device
+figures once per edge, and the latest link time and RSSI per robot. It
+flags a (robot, edge) pair stale once its older reading is more than
+three sample periods old. Staleness policy (what to do about a stale
+edge) belongs to the scheduler; the store only reports it. No reading
+is held as an object: both sources write floats, checked by
+``utility.check_device_reading`` and ``utility.check_network_reading``.
 
 Readings come either from a seeded synthetic generator, in which load
 is base plus any active spikes plus bounded measurement noise, or from
@@ -20,7 +23,7 @@ A loaded trace is held as columns: ``load_device_trace`` returns one
 ``NetworkTrace``, float arrays plus shared id strings. The loaders check
 every row with the snapshot types' own checks
 (``utility.check_device_reading``, ``utility.check_network_reading``),
-and a row's snapshot is built only when it is read.
+and a replayed row is read from the columns, never built as an object.
 
 Spike load is read from a per-device ``SpikeTable``: the sum of active
 spikes is piecewise constant between spike starts and ends, so it is
@@ -50,8 +53,9 @@ from .utility import (
 DEVICE_TRACE_HEADER = ["t", "edge_id", "cpu_max", "cpu_used", "mem_max", "mem_used"]
 NETWORK_TRACE_HEADER = ["t", "robot_id", "edge_id", "rssi"]
 
-_new = object.__new__
-_setattr = object.__setattr__  # frozen snapshots refuse their own __setattr__
+# The time the store gives a reading it has never received: infinitely
+# old, so the pair it belongs to is stale.
+NEVER = -math.inf
 
 @dataclass(frozen=True)
 class LoadSpike:
@@ -164,21 +168,15 @@ class SyntheticDeviceProfiler:
         self.noise_amp = noise_amp
         self.draws = draws
 
-    def sample(self, t: float) -> DeviceSnapshot:
+    def sample(self, t: float) -> tuple[float, float]:
+        """The device's (cpu_used, mem_used) at time t, clamped to its capacity."""
         p = self.profile
         spike_cpu, spike_mem = p.spike_table.at(t)
         noise_cpu = _noise(self.seed, p.edge_id, "cpu", t, self.noise_amp, self.draws)
         noise_mem = _noise(self.seed, p.edge_id, "mem", t, self.noise_amp, self.draws)
         cpu = p.base_cpu + spike_cpu + noise_cpu
         mem = p.base_mem + spike_mem + noise_mem / 100.0 * p.mem_max
-        return DeviceSnapshot(
-            edge_id=p.edge_id,
-            t=t,
-            cpu_max=p.cpu_max,
-            cpu_used=max(0.0, min(p.cpu_max, cpu)),
-            mem_max=p.mem_max,
-            mem_used=max(0.0, min(p.mem_max, mem)),
-        )
+        return max(0.0, min(p.cpu_max, cpu)), max(0.0, min(p.mem_max, mem))
 
 
 # ------------------------------------------------------------ trace files
@@ -238,28 +236,10 @@ def _trace_rows(path: str, header: list[str]) -> Iterator[tuple[int, float, list
             raise
 
 
-class _TraceColumns(Sequence):
-    """Trace rows held as parallel columns; ``reading(k)`` builds row k.
-
-    A subclass names its columns in ``__slots__``, ``t`` among them.
-    """
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self.reading(i) for i in range(*k.indices(len(self)))]
-        return self.reading(k)
-
-
-class DeviceTrace(_TraceColumns):
+class DeviceTrace:
     """One edge's device trace rows as parallel float columns, in file order.
 
-    ``len()`` is the row count and ``trace[k]`` builds row k's
-    ``DeviceSnapshot``; ``reading(k)`` builds it for an int ``k`` alone.
+    ``len()`` is the row count; row k is the k-th value of each column.
     """
 
     __slots__ = ("edge_id", "t", "cpu_max", "cpu_used", "mem_max", "mem_used")
@@ -272,25 +252,16 @@ class DeviceTrace(_TraceColumns):
         self.mem_max = array("d")
         self.mem_used = array("d")
 
-    def reading(self, k: int) -> DeviceSnapshot:
-        # The loader checked every row, so the snapshot skips __init__
-        # and its checks.
-        snap = _new(DeviceSnapshot)
-        _setattr(snap, "__dict__", {
-            "edge_id": self.edge_id, "t": self.t[k], "cpu_max": self.cpu_max[k],
-            "cpu_used": self.cpu_used[k], "mem_max": self.mem_max[k],
-            "mem_used": self.mem_used[k],
-        })
-        return snap
+    def __len__(self) -> int:
+        return len(self.t)
 
 
-class NetworkTrace(_TraceColumns):
+class NetworkTrace:
     """A network trace's rows as parallel columns, in file order.
 
     ``t`` and ``rssi`` are float columns; ``robot_id`` and ``edge_id``
-    hold one shared ``str`` per distinct id. ``len()`` is the row count
-    and ``trace[k]`` builds row k's ``NetworkSnapshot``; ``reading(k)``
-    builds it for an int ``k`` alone.
+    hold one shared ``str`` per distinct id. ``len()`` is the row count;
+    row k is the k-th value of each column.
     """
 
     __slots__ = ("t", "rssi", "robot_id", "edge_id")
@@ -301,15 +272,8 @@ class NetworkTrace(_TraceColumns):
         self.robot_id: list[str] = []
         self.edge_id: list[str] = []
 
-    def reading(self, k: int) -> NetworkSnapshot:
-        # The loader checked every row, so the snapshot skips __init__
-        # and its checks.
-        snap = _new(NetworkSnapshot)
-        _setattr(snap, "__dict__", {
-            "robot_id": self.robot_id[k], "edge_id": self.edge_id[k],
-            "t": self.t[k], "rssi": self.rssi[k],
-        })
-        return snap
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def load_device_trace(path: str | Path) -> dict[str, DeviceTrace]:
@@ -385,27 +349,45 @@ class EdgeData:
 
 @dataclass(frozen=True)
 class FleetView:
-    """The store's readings at one instant, every row aligned with ``edge_ids``.
+    """The store's readings at one instant, as columns aligned with ``edge_ids``.
 
-    None stands for a reading never received; ``stale[robot]`` flags
-    each of that robot's (robot, edge) pairs.
+    ``device_t``, ``cpu_max``, ``cpu_used``, ``mem_max`` and ``mem_used``
+    hold each edge's device reading; ``link_t[robot]`` and
+    ``rssi[robot]`` each of that robot's link readings. A reading never
+    received has time ``NEVER`` (and its figures mean nothing);
+    ``stale[robot]`` flags each of that robot's (robot, edge) pairs.
     """
 
     edge_ids: tuple[str, ...]
-    devices: tuple[Optional[DeviceSnapshot], ...]
-    links: dict[str, tuple[Optional[NetworkSnapshot], ...]]
-    stale: dict[str, tuple[bool, ...]]
+    device_t: tuple[float, ...]
+    cpu_max: tuple[float, ...]
+    cpu_used: tuple[float, ...]
+    mem_max: tuple[float, ...]
+    mem_used: tuple[float, ...]
+    link_t: dict[str, tuple[float, ...]]
+    rssi: dict[str, tuple[float, ...]]
+    stale: dict[str, list[bool]]
+
+    def heard(self, robot_id: str) -> bool:
+        """Whether the robot holds any reading: a device's, which every
+        robot shares, or one of its own links'."""
+        return max(self.device_t) > NEVER or max(self.link_t[robot_id]) > NEVER
 
 
 class Gateway:
-    """The fleet's one store of the latest profiler readings.
+    """The fleet's one store of the latest profiler readings, as float columns.
 
-    A device reading is the same for every robot, so ``devices`` keeps
-    the latest one per edge; ``links[robot][edge]`` keeps the latest
-    reading of each link. Readings arrive in time order, none later than
-    the next ``collect``; readings naming an unknown id are ignored.
-    Staleness is decided here alone: a pair is stale once its older
-    reading is more than ``stale_after`` old, a missing one infinitely.
+    Every column is a list aligned with ``edge_ids`` (sorted), and
+    ``column[edge_id]`` is an edge's position in it. A device reading is
+    the same for every robot, so ``device_t``, ``cpu_max``, ``cpu_used``,
+    ``mem_max`` and ``mem_used`` keep the latest one per edge;
+    ``link_t[robot]`` and ``rssi[robot]`` keep the latest reading of each
+    of the robot's links. A reading never received has time ``NEVER``;
+    a link's RSSI then reads -120 dBm, the weakest valid reading. Readings
+    arrive in time order, none later than the next ``collect``; each is
+    checked, and one naming an unknown id is then ignored. Staleness is
+    decided here alone: a pair is stale once its older reading is more
+    than ``stale_after`` old, a missing one infinitely.
     """
 
     def __init__(self, robot_ids: Iterable[str], edge_ids: Iterable[str],
@@ -414,30 +396,47 @@ class Gateway:
             raise ConfigError(f"stale_after must be positive, got {stale_after}")
         self.stale_after = stale_after
         self.edge_ids = tuple(sorted(edge_ids))
-        self.devices: dict[str, Optional[DeviceSnapshot]] = {e: None for e in self.edge_ids}
-        self.links: dict[str, dict[str, Optional[NetworkSnapshot]]] = {
-            r: {e: None for e in self.edge_ids} for r in sorted(robot_ids)
-        }
+        self.column = {edge_id: j for j, edge_id in enumerate(self.edge_ids)}
+        m = len(self.edge_ids)
+        self.device_t = [NEVER] * m
+        self.cpu_max = [0.0] * m
+        self.cpu_used = [0.0] * m
+        self.mem_max = [0.0] * m
+        self.mem_used = [0.0] * m
+        robots = sorted(robot_ids)
+        self.link_t = {robot_id: [NEVER] * m for robot_id in robots}
+        self.rssi = {robot_id: [-120.0] * m for robot_id in robots}
 
-    def ingest_device(self, snap: DeviceSnapshot) -> None:
-        if snap.edge_id in self.devices:
-            self.devices[snap.edge_id] = snap
+    def ingest_device(self, edge_id: str, t: float, cpu_max: float, cpu_used: float,
+                      mem_max: float, mem_used: float) -> None:
+        check_device_reading(edge_id, cpu_max, cpu_used, mem_max, mem_used)
+        j = self.column.get(edge_id)
+        if j is not None:
+            self.device_t[j] = t
+            self.cpu_max[j] = cpu_max
+            self.cpu_used[j] = cpu_used
+            self.mem_max[j] = mem_max
+            self.mem_used[j] = mem_used
 
-    def ingest_network(self, snap: NetworkSnapshot) -> None:
-        links = self.links.get(snap.robot_id)
-        if links is not None and snap.edge_id in links:
-            links[snap.edge_id] = snap
+    def ingest_network(self, robot_id: str, edge_id: str, t: float, rssi: float) -> None:
+        check_network_reading(robot_id, edge_id, rssi)
+        link_t = self.link_t.get(robot_id)
+        j = self.column.get(edge_id)
+        if link_t is not None and j is not None:
+            link_t[j] = t
+            self.rssi[robot_id][j] = rssi
 
     def collect(self, now: float) -> FleetView:
         """Every reading held at time ``now``, with each pair's staleness."""
-        inf = float("inf")
         stale_after = self.stale_after
-        devices = tuple(self.devices.values())
-        device_ages = [inf if d is None else now - d.t for d in devices]
-        links = {robot_id: tuple(row.values()) for robot_id, row in self.links.items()}
-        stale = {
-            robot_id: tuple(max(device_age, inf if n is None else now - n.t) > stale_after
-                            for device_age, n in zip(device_ages, row))
-            for robot_id, row in links.items()
-        }
-        return FleetView(self.edge_ids, devices, links, stale)
+        # A pair is stale when either reading is more than stale_after
+        # old; now - NEVER is inf.
+        device_stale = [now - t > stale_after for t in self.device_t]
+        return FleetView(
+            self.edge_ids, tuple(self.device_t), tuple(self.cpu_max), tuple(self.cpu_used),
+            tuple(self.mem_max), tuple(self.mem_used),
+            {robot_id: tuple(row) for robot_id, row in self.link_t.items()},
+            {robot_id: tuple(row) for robot_id, row in self.rssi.items()},
+            {robot_id: [stale or now - t > stale_after for stale, t in zip(device_stale, row)]
+             for robot_id, row in self.link_t.items()},
+        )

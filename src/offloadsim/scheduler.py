@@ -11,11 +11,12 @@ keeps near-tied utilities from flapping the task back and forth.
 The edge-wise sum has one implementation, ``summed_scores``: each
 robot adds its own score first and then its peers' in ascending robot
 id, with builtin ``sum``. The order decides the last bits of a sum, and
-those bits decide near-tied votes. ``fleet_proposals`` runs a round in
-which every table reaches every robot at once, straight from the
-fleet's one reading store: each edge's CPU and memory axes are scored
-once and each link once, the tables become one score column per edge,
-and each robot sums those columns in its own order.
+those bits decide near-tied votes. ``fleet_votes`` runs a round in
+which every table reaches every robot at once, straight from the float
+columns of the fleet's one reading store (``FleetView``): each edge's
+CPU and memory axes are scored once and each link once, the tables
+become one score column per edge, each robot sums those columns in its
+own order, and the round returns each robot's vote as an edge id.
 ``Scheduler.propose`` is the same vote for one robot, from a per-edge
 view of its own (``EdgeData``), against the peer tables it has observed.
 
@@ -29,17 +30,19 @@ tables older than the staleness window are excluded from the sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from .errors import ConfigError, NoCandidatesError
-from .profiling import EdgeData, FleetView
+from .profiling import NEVER, EdgeData, FleetView
 from .utility import (
     NetworkBounds,
     TaskSpec,
     Weights,
+    cpu_score,
     cpu_utility,
+    memory_score,
     memory_utility,
+    rssi_score,
     rssi_utility,
     total_utility,
 )
@@ -137,18 +140,22 @@ def score_columns(tables: Sequence[Mapping[str, float]]) -> dict[str, tuple[floa
     return {edge: tuple(table.get(edge, 0.0) for table in tables) for edge in edges}
 
 
-def summed_scores(columns: Mapping[str, Sequence[float]], index: int) -> dict[str, float]:
-    """Edge-wise sum as the table at ``index`` of the columns adds it.
+def summed_scores(columns: Sequence[Sequence[float]], index: int) -> list[float]:
+    """Each column's sum as the table at ``index`` of the columns adds it.
 
     That table's own score comes first, then every other score in
-    column order, added with builtin ``sum`` from 0. Keep both the order
-    and the builtin: a shared sum, ``math.fsum`` or a ``+=`` loop rounds
-    differently, and the last bits decide near-tied votes.
+    column order, added with builtin ``sum``. The order decides the last
+    bits, and the last bits decide near-tied votes, so a shared sum or
+    ``math.fsum`` would change votes. The golden pins hold on Python
+    3.11 and older, where ``sum`` adds floats plainly left to right;
+    from 3.12 it compensates its rounding, so the pins that hinge on the
+    order (``fleet12x4``) can differ there until the fleet sum is made
+    exact (ROADMAP item 2). A Python-level loop would keep the plain
+    order on every version, at about 5% of a 40-robot run's time.
     """
-    return {
-        edge: sum(chain((col[index],), col[:index], col[index + 1:]))
-        for edge, col in columns.items()
-    }
+    # The second sum starts from the first's float, so together they
+    # add own, before, after in one left-to-right order.
+    return [sum(col[index + 1:], sum(col[:index], col[index])) for col in columns]
 
 
 def exchange_and_sum(
@@ -166,7 +173,7 @@ def exchange_and_sum(
         tables[peer_id] = peer.table
     order = sorted(tables)
     columns = score_columns([tables[rid] for rid in order])
-    return summed_scores(columns, order.index(robot_id))
+    return dict(zip(columns, summed_scores(list(columns.values()), order.index(robot_id))))
 
 
 def select_max_edge(
@@ -244,23 +251,20 @@ class Scheduler:
             self.selected_edge = winner
 
 
-def fleet_proposals(
-    schedulers: Mapping[str, Scheduler],
-    view: FleetView,
-    iteration: int,
-) -> dict[str, Proposal]:
+def fleet_votes(schedulers: Mapping[str, Scheduler], view: FleetView) -> dict[str, str]:
     """Every robot's vote in a round where each table reaches every peer at once.
 
-    Gives each robot the proposal it would make after observing every
-    other robot's fresh table, scored straight from the fleet's one
-    store: the CPU and memory axes once per edge, the link axis once per
-    fresh (robot, edge) pair, each score the float ``calculate_utility``
+    Gives each robot the edge it would propose after observing every
+    other robot's fresh table, scored straight from the store's columns:
+    the CPU and memory axes once per edge, the link axis once per fresh
+    (robot, edge) pair, each score the float ``calculate_utility``
     gives. The fleet shares one task, one set of bounds and one weight
     vector. Robots are scored in ascending id, so the first robot that
     has heard from no edge raises.
     """
     order = sorted(schedulers)
-    if not order or not view.edge_ids:
+    edge_ids = view.edge_ids
+    if not order or not edge_ids:
         raise NoCandidatesError("no edges known to the scheduler")
     first = schedulers[order[0]]
     task, bounds, weights = shared = (first.task, first.bounds, first.weights)
@@ -268,34 +272,39 @@ def fleet_proposals(
         raise ConfigError("a fleet round needs one task, bounds and weights for every robot")
     # total_utility adds left to right, so its first two terms are the
     # same float for every robot and are added once per edge.
+    w_cpu, w_mem, w_net = weights.w_cpu, weights.w_mem, weights.w_net
     device_terms = [
-        None if d is None
-        else weights.w_cpu * cpu_utility(d) + weights.w_mem * memory_utility(d, task)
-        for d in view.devices
+        0.0 if t == NEVER  # every pair of the edge is stale, so the term is never read
+        else w_cpu * cpu_score(cpu_max, cpu_used) + w_mem * memory_score(mem_max, mem_used, task)
+        for t, cpu_max, cpu_used, mem_max, mem_used in zip(
+            view.device_t, view.cpu_max, view.cpu_used, view.mem_max, view.mem_used)
     ]
-    own: list[dict[str, float]] = []
-    keeps: list[bool] = []
+    tables: list[list[float]] = []
+    kept: list[Optional[str]] = []  # a robot with nothing fresh keeps its incumbent
     for rid in order:
-        sched = schedulers[rid]
-        table: dict[str, float] = {}
-        present = fresh = False
-        for edge_id, term, link, stale in zip(
-            view.edge_ids, device_terms, view.links[rid], view.stale[rid]
-        ):
-            present = present or term is not None or link is not None
-            if stale:  # a missing reading counts as stale
-                table[edge_id] = 0.0
-                continue
-            fresh = True
-            score = term + weights.w_net * rssi_utility(link, bounds)
-            table[edge_id] = score + sched.sticky_bonus if edge_id == sched.selected_edge else score
-        if not present:
+        if not view.heard(rid):
             raise NoCandidatesError("all edges absent from the gateway view")
-        own.append(table)
-        keeps.append(sched.selected_edge is not None and not fresh)
-    columns = score_columns(own)
-    return {
-        rid: Proposal(rid, iteration, schedulers[rid].selected_edge, own[index]) if keeps[index]
-        else select_max_edge(summed_scores(columns, index), rid, iteration)
-        for index, rid in enumerate(order)
-    }
+        sched = schedulers[rid]
+        stale = view.stale[rid]
+        table = [
+            0.0 if is_stale else term + w_net * rssi_score(rssi, bounds)
+            for is_stale, term, rssi in zip(stale, device_terms, view.rssi[rid])
+        ]
+        selected = sched.selected_edge
+        if selected in edge_ids:
+            j = edge_ids.index(selected)
+            if not stale[j]:
+                table[j] += sched.sticky_bonus
+        tables.append(table)
+        kept.append(selected if all(stale) else None)
+    columns = list(zip(*tables))
+    votes: dict[str, str] = {}
+    for index, rid in enumerate(order):
+        if kept[index] is not None:
+            votes[rid] = kept[index]
+            continue
+        # edge_ids is sorted, so the first maximum is select_max_edge's
+        # winner: exact ties go to the smallest id.
+        summed = summed_scores(columns, index)
+        votes[rid] = edge_ids[summed.index(max(summed))]
+    return votes

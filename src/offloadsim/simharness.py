@@ -1,15 +1,19 @@
 """Deterministic discrete-event simulation of the offloading fleet.
 
 One run wires the whole pipeline together: synthetic profilers (or
-replayed trace rows) feed the fleet's one reading store (``Gateway``);
-each decision round scores every edge's device once and every link
-once from it, and every robot adds the fleet's scores in its own order
-and votes (``scheduler.fleet_proposals``); every robot's executor
-computes the same consensus decision, the task moves to the winner
-with its waiting work (``apply_remap``), and the host edge executes the
-fleet's task messages under a load-dependent service law. A single
-priority queue orders events by (time, priority, insertion sequence),
-so a (config, seed) pair fully determines every output byte.
+replayed trace rows) write floats into the fleet's one reading store
+(``Gateway``), whose columns are aligned with the sorted edge ids; each
+decision round scores every edge's device once and every link once
+from those columns, and every robot adds the fleet's scores in its own
+order and votes for an edge (``scheduler.fleet_votes``); every robot's
+executor computes the same consensus decision, the task moves to the
+winner with its waiting work (``apply_remap``), and the host edge
+executes the fleet's task messages under a load-dependent service law.
+No reading is built as an object on the way: a sample or a replayed
+row is a few floats, checked and written into the store's columns, and
+a vote is an edge id. A single priority queue orders events by (time,
+priority, insertion sequence), so a (config, seed) pair fully
+determines every output byte.
 
 Periodic events (sample, exec, decision, metrics) are scheduled one
 ahead: only the first of each kind is queued up front, and handling one
@@ -26,11 +30,11 @@ Replayed trace rows are queued one ahead per stream (each edge's device
 rows, then all network rows) under the same rule, so the queue holds at
 most one row per stream. A stream is a trace held as columns
 (``profiling.DeviceTrace``, ``profiling.NetworkTrace``): its cut at the
-horizon is a bisection of its ``t`` column, and a row's snapshot is
-built when the row is handled. The store's latest trace readings are
-also the replayed CPU load and link RSSI. A robot that has heard from
-no edge casts no vote, so a round before the first reading of any kind
-is deferred.
+horizon is a bisection of its ``t`` column, and a handled row's floats
+are copied from the columns into the store. The store's latest trace
+readings are also the replayed CPU load and link RSSI. A robot that has
+heard from no edge casts no vote, so a round before the first reading
+of any kind is deferred.
 
 The loop does only work whose result is read. Only the host edge
 holds work, so an exec tick advances the host alone (an idle edge is a
@@ -83,6 +87,7 @@ from .consensus import ConsensusExecutor, Decision
 from .errors import ConfigError, TraceFormatError
 from .netsim import deliver, path_loss_dbm, rssi_at
 from .profiling import (
+    NEVER,
     DeviceProfile,
     Gateway,
     LoadSpike,
@@ -91,8 +96,7 @@ from .profiling import (
     load_network_trace,
     spike_load,  # noqa: F401 - perfbench's tracer wraps simharness.spike_load
 )
-from .scheduler import Scheduler, fleet_proposals
-from .utility import NetworkSnapshot
+from .scheduler import Scheduler, fleet_votes
 
 # Event priorities at equal timestamps: readings land before messages,
 # execution precedes the decision round, metrics sample last.
@@ -471,12 +475,11 @@ class Simulation:
             # _next_row queues row k + 1 when row k is handled.
             streams = [("trace_device", self.device_rows[eid]) for eid in sorted(self.device_rows)]
             streams.append(("trace_net", self.net_rows))
-            # (kind, rows, cut, seq0, the rows' t column, rows.reading)
-            self._streams: list[tuple] = []
+            self._streams: list[tuple] = []  # (kind, rows, cut, seq0)
             seq0 = next(self._seq)
             for stream, (kind, rows) in enumerate(streams):
                 cut = bisect_right(rows.t, horizon)
-                self._streams.append((kind, rows, cut, seq0, rows.t, rows.reading))
+                self._streams.append((kind, rows, cut, seq0))
                 if cut:
                     self._push(rows.t[0], P_SAMPLE, kind, (stream, 0), seq=seq0)
                 seq0 += cut
@@ -515,14 +518,18 @@ class Simulation:
         return path_loss_dbm(self.cfg.link, x, y, edge.x, edge.y)
 
     def _link_rssi(self, robot_id: str, edge_id: str, now: float) -> float:
-        reading = self.gateway.links[robot_id][edge_id]
-        if self.replay:
-            return -120.0 if reading is None else reading.rssi
+        gateway = self.gateway
+        j = gateway.column[edge_id]
+        if self.replay:  # a link never replayed reads -120 dBm
+            return gateway.rssi[robot_id][j]
         # P_SAMPLE sorts first, so a sample at now has drawn this link
         # already and its reading is this draw. Only a float now has the
         # sample's key: 1 == 1.0, but their reprs differ.
-        if reading is not None and reading.t == now and type(now) is float:
-            return reading.rssi
+        if gateway.link_t[robot_id][j] == now and type(now) is float:
+            return gateway.rssi[robot_id][j]
+        return self._draw_rssi(robot_id, edge_id, now)
+
+    def _draw_rssi(self, robot_id: str, edge_id: str, now: float) -> float:
         static = self._static_loss.get(robot_id)
         if static is None:  # the robot moves
             loss = self._path_loss(robot_id, edge_id, now)
@@ -540,8 +547,9 @@ class Simulation:
         """
         profile = self.profiles[eid]
         if self.replay:
-            reading = self.gateway.devices[eid]
-            cpu = profile.base_cpu if reading is None else reading.cpu_used
+            gateway = self.gateway
+            j = gateway.column[eid]
+            cpu = profile.base_cpu if gateway.device_t[j] == NEVER else gateway.cpu_used[j]
         else:
             if spike_cpu is None:
                 spike_cpu = profile.spike_table.at(now)[0]
@@ -565,27 +573,34 @@ class Simulation:
         # metrics, not in the readings the schedulers compare. Feeding
         # the task's load back into its own placement signal would
         # penalize whichever edge hosts it and defeat the hysteresis.
+        # A sample is the first reading at its instant, so each link is
+        # drawn without _link_rssi's look for one.
         gateway = self.gateway
         for eid in self.edge_ids:
-            gateway.ingest_device(self.profilers[eid].sample(now))
+            profile = self.profiles[eid]
+            cpu_used, mem_used = self.profilers[eid].sample(now)
+            gateway.ingest_device(eid, now, profile.cpu_max, cpu_used, profile.mem_max, mem_used)
+        ingest_network, draw = gateway.ingest_network, self._draw_rssi
         for rid in self.robot_ids:
             for eid in self.edge_ids:
-                gateway.ingest_network(
-                    NetworkSnapshot(rid, eid, now, self._link_rssi(rid, eid, now)))
+                ingest_network(rid, eid, now, draw(rid, eid, now))
 
     def _on_trace_device(self, now: float, row: tuple[int, int]) -> None:
-        self.gateway.ingest_device(self._next_row(row))
+        rows, k = self._next_row(row)
+        self.gateway.ingest_device(rows.edge_id, rows.t[k], rows.cpu_max[k], rows.cpu_used[k],
+                                   rows.mem_max[k], rows.mem_used[k])
 
     def _on_trace_net(self, now: float, row: tuple[int, int]) -> None:
-        self.gateway.ingest_network(self._next_row(row))
+        rows, k = self._next_row(row)
+        self.gateway.ingest_network(rows.robot_id[k], rows.edge_id[k], rows.t[k], rows.rssi[k])
 
-    def _next_row(self, row: tuple[int, int]):
-        """Queue the successor of a stream's row k and return row k."""
+    def _next_row(self, row: tuple[int, int]) -> tuple:
+        """Queue the successor of a stream's row k; return the stream's rows and k."""
         stream, k = row
-        kind, _, cut, seq0, t, reading = self._streams[stream]
+        kind, rows, cut, seq0 = self._streams[stream]
         if k + 1 < cut:
-            self._push(t[k + 1], P_SAMPLE, kind, (stream, k + 1), seq=seq0 + k + 1)
-        return reading(k)
+            self._push(rows.t[k + 1], P_SAMPLE, kind, (stream, k + 1), seq=seq0 + k + 1)
+        return rows, k
 
     def _on_send(self, now: float, send: tuple[str, int]) -> None:
         robot_id, k = send  # the robot's k-th message
@@ -652,17 +667,12 @@ class Simulation:
         # A robot that has heard from no edge yet (replayed traces may
         # start late) casts no vote; with no voter the round is deferred,
         # as one short of quorum is.
-        voters = self.schedulers if any(view.devices) else {
-            rid: sched for rid, sched in self.schedulers.items() if any(view.links[rid])
-        }
-        proposals = {
-            rid: proposal.max_edge
-            for rid, proposal in fleet_proposals(voters, view, iteration).items()
-        } if voters else {}
+        voters = {rid: sched for rid, sched in self.schedulers.items() if view.heard(rid)}
+        votes = fleet_votes(voters, view) if voters else {}
         first, *rest = self.robot_ids
-        decision = self.executors[first].on_proposals(proposals, iteration)
+        decision = self.executors[first].on_proposals(votes, iteration)
         for rid in rest:
-            if self.executors[rid].on_proposals(proposals, iteration) != decision:
+            if self.executors[rid].on_proposals(votes, iteration) != decision:
                 raise RuntimeError(
                     f"consensus diverged at iteration {iteration}: "
                     f"{rid} disagrees with {first}"

@@ -10,7 +10,10 @@ Each edge resource is scored on three normalized axes:
 
 A weighted sum combines the three into a single score per edge; the
 scheduler adds the fleet's scores edge-wise and picks the edge with the
-highest combined utility.
+highest combined utility. Each axis is scored from plain floats
+(``cpu_score``, ``memory_score``, ``rssi_score``), as the fleet's
+reading store holds them; ``cpu_utility``, ``memory_utility`` and
+``rssi_utility`` give the same floats from a snapshot.
 """
 
 from __future__ import annotations
@@ -144,25 +147,39 @@ class TaskSpec:
             )
 
 
-def cpu_utility(snapshot: DeviceSnapshot) -> float:
+def cpu_score(cpu_max: float, cpu_used: float) -> float:
     """Fraction of CPU budget still free: (max - used) / max, clamped to [0, 1]."""
-    return clamp01((snapshot.cpu_max - snapshot.cpu_used) / snapshot.cpu_max)
+    return clamp01((cpu_max - cpu_used) / cpu_max)
 
 
-def memory_utility(snapshot: DeviceSnapshot, task: TaskSpec) -> float:
+def memory_score(mem_max: float, mem_used: float, task: TaskSpec) -> float:
     """Fraction of RAM left once the task footprint and current usage are
     subtracted: (max - footprint - used) / max, clamped to [0, 1].
 
     An edge that cannot even hold the task footprint clamps to 0 rather
     than going negative, so it never outranks a feasible edge.
     """
-    raw = (snapshot.mem_max - task.mem_footprint - snapshot.mem_used) / snapshot.mem_max
-    return clamp01(raw)
+    return clamp01((mem_max - task.mem_footprint - mem_used) / mem_max)
+
+
+def rssi_score(rssi: float, bounds: NetworkBounds) -> float:
+    """Linear map of RSSI onto [0, 1] between the usable floor and the ceiling."""
+    return clamp01((rssi - bounds.min_rssi) / (bounds.max_rssi - bounds.min_rssi))
+
+
+def cpu_utility(snapshot: DeviceSnapshot) -> float:
+    """``cpu_score`` of a device reading."""
+    return cpu_score(snapshot.cpu_max, snapshot.cpu_used)
+
+
+def memory_utility(snapshot: DeviceSnapshot, task: TaskSpec) -> float:
+    """``memory_score`` of a device reading."""
+    return memory_score(snapshot.mem_max, snapshot.mem_used, task)
 
 
 def rssi_utility(reading: NetworkSnapshot, bounds: NetworkBounds) -> float:
-    """Linear map of RSSI onto [0, 1] between the usable floor and the ceiling."""
-    return clamp01((reading.rssi - bounds.min_rssi) / (bounds.max_rssi - bounds.min_rssi))
+    """``rssi_score`` of a link reading."""
+    return rssi_score(reading.rssi, bounds)
 
 
 def total_utility(cpu: float, mem: float, net: float, weights: Weights) -> float:

@@ -46,6 +46,20 @@ from offloadsim.utility import TaskSpec
 LOGGED_KINDS = ("trace_device", "trace_net", "send", "arrival", "exec", "decision", "metrics")
 
 
+def device_row(rows, k):
+    """Row k of a ``DeviceTrace``: the ``Gateway.ingest_device`` arguments."""
+    return (rows.edge_id, rows.t[k], rows.cpu_max[k], rows.cpu_used[k], rows.mem_max[k],
+            rows.mem_used[k])
+
+
+def network_row(rows, k):
+    """Row k of a ``NetworkTrace``: the ``Gateway.ingest_network`` arguments."""
+    return rows.robot_id[k], rows.edge_id[k], rows.t[k], rows.rssi[k]
+
+
+ROW_OF = {"trace_device": device_row, "trace_net": network_row}
+
+
 class EveryWorkSimulation(Simulation):
     """Advances every edge, samples under every scheme, queues every send and row up front."""
 
@@ -53,16 +67,15 @@ class EveryWorkSimulation(Simulation):
         cfg = self.cfg
         self._effective_duration = cfg.duration
         if self.replay:
-            ends = [rows[-1].t for rows in self.device_rows.values() if rows]
-            ends.append(self.net_rows[-1].t)
+            ends = [rows.t[-1] for rows in self.device_rows.values() if rows]
+            ends.append(self.net_rows.t[-1])
             self._effective_duration = min(cfg.duration, max(ends))
-            for eid in sorted(self.device_rows):
-                for snap in self.device_rows[eid]:
-                    if snap.t <= self._effective_duration:
-                        self._push(snap.t, P_SAMPLE, "trace_device", snap)
-            for snap in self.net_rows:
-                if snap.t <= self._effective_duration:
-                    self._push(snap.t, P_SAMPLE, "trace_net", snap)
+            streams = [("trace_device", self.device_rows[eid]) for eid in sorted(self.device_rows)]
+            streams.append(("trace_net", self.net_rows))
+            for kind, rows in streams:
+                for k, t in enumerate(rows.t):
+                    if t <= self._effective_duration:
+                        self._push(t, P_SAMPLE, kind, ROW_OF[kind](rows, k))
         tick = cfg.exec_model.exec_tick
         periodic = []
         if not self.replay:
@@ -82,11 +95,11 @@ class EveryWorkSimulation(Simulation):
             for k in range(1, cfg.message_quota(spec) + 1):
                 self._push(k / rate, P_ARRIVAL, "send", (rid, k))
 
-    def _on_trace_device(self, now: float, snap) -> None:
-        self.gateway.ingest_device(snap)
+    def _on_trace_device(self, now: float, row: tuple) -> None:
+        self.gateway.ingest_device(*row)
 
-    def _on_trace_net(self, now: float, snap) -> None:
-        self.gateway.ingest_network(snap)
+    def _on_trace_net(self, now: float, row: tuple) -> None:
+        self.gateway.ingest_network(*row)
 
     def _on_send(self, now: float, send: tuple[str, int]) -> None:
         robot_id, _ = send
@@ -117,8 +130,8 @@ class EveryWorkSimulation(Simulation):
 def run_logged(sim: Simulation):
     """Run sim and return its report with every non-sample event it handled.
 
-    A replayed row is logged as its snapshot, whether the event carries
-    the snapshot or its (stream, index) position.
+    A replayed row is logged as its values, whether the event carries
+    them (the reference) or the row's (stream, index) position.
     """
     log = []
     for kind in LOGGED_KINDS:
@@ -126,9 +139,9 @@ def run_logged(sim: Simulation):
 
         def logged(now, *args, kind=kind, handler=handler):
             entry = args
-            if kind.startswith("trace_") and isinstance(args[0], tuple):
+            if kind.startswith("trace_") and not isinstance(sim, EveryWorkSimulation):
                 stream, k = args[0]
-                entry = (sim._streams[stream][1][k],)
+                entry = (ROW_OF[kind](sim._streams[stream][1], k),)
             log.append((kind, now, entry))
             handler(now, *args)
 

@@ -7,7 +7,6 @@ import math
 import re
 import tempfile
 import tracemalloc
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -15,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import write_replay_fixture
 
-from offloadsim.errors import ConfigError, TraceFormatError
+from offloadsim.errors import ConfigError, InvalidSnapshotError, TraceFormatError
 from offloadsim.profiling import (
     DEVICE_TRACE_HEADER,
     NETWORK_TRACE_HEADER,
+    NEVER,
     DeviceProfile,
     Gateway,
     LoadSpike,
@@ -28,7 +28,6 @@ from offloadsim.profiling import (
     load_network_trace,
     spike_load,
 )
-from offloadsim.utility import DeviceSnapshot, NetworkSnapshot
 
 
 def profile(**kw):
@@ -81,14 +80,14 @@ def test_spike_table_equals_spike_load_everywhere(spikes):
 
 def test_sample_is_base_plus_active_spikes():
     p = profile(spikes=(LoadSpike(10.0, 5.0, cpu_add=70.0),))
-    snap = profiler(p).sample(12.0)
-    assert snap.cpu_used == 90.0
+    cpu_used, _ = profiler(p).sample(12.0)
+    assert cpu_used == 90.0
 
 
 def test_sample_clamps_at_capacity():
     p = profile(base_cpu=50.0, spikes=(LoadSpike(10.0, 5.0, cpu_add=70.0),))
-    snap = profiler(p).sample(12.0)
-    assert snap.cpu_used == 100.0
+    cpu_used, _ = profiler(p).sample(12.0)
+    assert cpu_used == 100.0
 
 
 def test_same_seed_reproduces_the_stream():
@@ -107,9 +106,10 @@ def test_different_seeds_diverge():
 @given(t=st.floats(min_value=0.0, max_value=1e4), seed=st.integers(0, 2**31))
 def test_noise_stays_within_amplitude(t, seed):
     amp = 2.0
-    snap = SyntheticDeviceProfiler(profile(), seed=seed, sample_period=1.0, noise_amp=amp).sample(t)
-    assert abs(snap.cpu_used - 20.0) <= amp
-    assert abs(snap.mem_used - 1024.0) <= amp / 100.0 * 4096.0
+    cpu_used, mem_used = SyntheticDeviceProfiler(
+        profile(), seed=seed, sample_period=1.0, noise_amp=amp).sample(t)
+    assert abs(cpu_used - 20.0) <= amp
+    assert abs(mem_used - 1024.0) <= amp / 100.0 * 4096.0
 
 
 def test_profiler_parameter_validation():
@@ -120,6 +120,17 @@ def test_profiler_parameter_validation():
 
 
 # ------------------------------------------------------------ trace files
+
+def device_rows(trace):
+    """A device trace's rows as (edge_id, t, cpu_max, cpu_used, mem_max, mem_used)."""
+    return [(trace.edge_id, *row) for row in zip(
+        trace.t, trace.cpu_max, trace.cpu_used, trace.mem_max, trace.mem_used)]
+
+
+def network_rows(trace):
+    """A network trace's rows as (robot_id, edge_id, t, rssi)."""
+    return list(zip(trace.robot_id, trace.edge_id, trace.t, trace.rssi))
+
 
 DEVICE_ROWS = """t,edge_id,cpu_max,cpu_used,mem_max,mem_used
 0.0,e1,100,25.5,4096,1100
@@ -141,9 +152,9 @@ def test_device_trace_replays_bit_exactly(tmp_path):
     rows = load_device_trace(path)
     assert sorted(rows) == ["e1", "e2"]
     assert len(rows["e1"]) == 5 and len(rows["e2"]) == 5
-    assert rows["e1"][0] == DeviceSnapshot("e1", 0.0, 100.0, 25.5, 4096.0, 1100.0)
-    assert rows["e2"][4] == DeviceSnapshot("e2", 4.0, 100.0, 34.25, 4096.0, 904.0)
-    assert [s.t for s in rows["e1"]] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert device_rows(rows["e1"])[0] == ("e1", 0.0, 100.0, 25.5, 4096.0, 1100.0)
+    assert device_rows(rows["e2"])[4] == ("e2", 4.0, 100.0, 34.25, 4096.0, 904.0)
+    assert list(rows["e1"].t) == [0.0, 1.0, 2.0, 3.0, 4.0]
 
 
 def test_device_trace_rejects_wrong_header(tmp_path):
@@ -172,10 +183,8 @@ def test_network_trace_round_trip(tmp_path):
         encoding="utf-8",
     )
     rows = load_network_trace(path)
-    assert list(rows) == [
-        NetworkSnapshot("r1", "e1", 0.0, -55.5),
-        NetworkSnapshot("r1", "e1", 1.0, -56.25),
-    ]
+    assert len(rows) == 2
+    assert network_rows(rows) == [("r1", "e1", 0.0, -55.5), ("r1", "e1", 1.0, -56.25)]
 
 
 def test_network_trace_rejects_short_rows(tmp_path):
@@ -195,7 +204,7 @@ def sorted_times(n):
 
 @st.composite
 def device_files(draw):
-    """A valid device trace: the file's text and its rows as snapshots, in file order."""
+    """A valid device trace: the file's text and its rows as tuples, in file order."""
     edge_ids = draw(id_lists)
     n = draw(st.integers(0, 30))
     lines = [",".join(DEVICE_TRACE_HEADER)]
@@ -207,13 +216,13 @@ def device_files(draw):
         mem_max = draw(st.floats(0.0, 1e6, exclude_min=True))
         mem_used = draw(st.floats(0.0, mem_max))
         lines.append(f"{t!r},{edge_id},{cpu_max!r},{cpu_used!r},{mem_max!r},{mem_used!r}")
-        rows.append(DeviceSnapshot(edge_id, t, cpu_max, cpu_used, mem_max, mem_used))
+        rows.append((edge_id, t, cpu_max, cpu_used, mem_max, mem_used))
     return "\n".join(lines) + "\n", rows
 
 
 @st.composite
 def network_files(draw):
-    """A valid network trace: the file's text and its rows as snapshots, in file order."""
+    """A valid network trace: the file's text and its rows as tuples, in file order."""
     robot_ids, edge_ids = draw(id_lists), draw(id_lists)
     n = draw(st.integers(0, 30))
     lines = [",".join(NETWORK_TRACE_HEADER)]
@@ -222,14 +231,13 @@ def network_files(draw):
         robot_id, edge_id = draw(st.sampled_from(robot_ids)), draw(st.sampled_from(edge_ids))
         rssi = draw(st.floats(-120.0, 0.0))
         lines.append(f"{t!r},{robot_id},{edge_id},{rssi!r}")
-        rows.append(NetworkSnapshot(robot_id, edge_id, t, rssi))
+        rows.append((robot_id, edge_id, t, rssi))
     return "\n".join(lines) + "\n", rows
 
 
-def exact(snaps):
-    """Each snapshot's type and fields, floats as their exact hex form."""
-    return [(type(s), *(v.hex() if isinstance(v, float) else v for v in astuple(s)))
-            for s in snaps]
+def exact(rows):
+    """Each row's fields, floats as their exact hex form."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows]
 
 
 def load_text(loader, text):
@@ -244,20 +252,18 @@ def load_text(loader, text):
 def test_loaders_return_exactly_the_files_rows(device, net):
     text, rows = device
     traces = load_text(load_device_trace, text)
-    assert sorted(traces) == sorted({s.edge_id for s in rows})
+    assert sorted(traces) == sorted({row[0] for row in rows})
     for edge_id, trace in traces.items():
-        got = list(trace)
-        assert exact(got) == exact([s for s in rows if s.edge_id == edge_id])
-        assert all(s.edge_id is trace.edge_id for s in got)
+        assert len(trace) == len(trace.cpu_used)
+        assert exact(device_rows(trace)) == exact([row for row in rows if row[0] == edge_id])
 
     text, rows = net
     trace = load_text(load_network_trace, text)
-    got = list(trace)
-    assert exact(got) == exact(rows)
+    assert len(trace) == len(trace.robot_id)
+    assert exact(network_rows(trace)) == exact(rows)
     shared = {}
-    for s in got:
-        for name in (s.robot_id, s.edge_id):
-            assert shared.setdefault(name, name) is name
+    for name in (*trace.robot_id, *trace.edge_id):
+        assert shared.setdefault(name, name) is name
 
 
 def test_loaded_traces_hold_at_most_48_bytes_per_row(tmp_path):
@@ -306,12 +312,12 @@ def test_trace_loaders_name_file_and_line_on_bad_values(tmp_path, kind, t, out_o
 
 # ---------------------------------------------------------------- gateway
 
-def device_snap(edge_id, t, cpu=30.0):
-    return DeviceSnapshot(edge_id, t, 100.0, cpu, 4096.0, 1000.0)
+def ingest_device(gw, edge_id, t, cpu=30.0):
+    gw.ingest_device(edge_id, t, 100.0, cpu, 4096.0, 1000.0)
 
 
-def net_snap(edge_id, t, robot_id="r1", rssi=-60.0):
-    return NetworkSnapshot(robot_id, edge_id, t, rssi)
+def ingest_link(gw, edge_id, t, robot_id="r1", rssi=-60.0):
+    gw.ingest_network(robot_id, edge_id, t, rssi)
 
 
 def make_gateway(edges=("e1", "e2"), stale_after=3.0, robots=("r1",)):
@@ -321,51 +327,79 @@ def make_gateway(edges=("e1", "e2"), stale_after=3.0, robots=("r1",)):
 def test_gateway_reports_age_of_freshest_reading():
     gw = make_gateway(edges=("e1",))
     for t in (1.0, 2.0, 3.0):
-        gw.ingest_device(device_snap("e1", t))
-        gw.ingest_network(net_snap("e1", t))
+        ingest_device(gw, "e1", t, cpu=10.0 * t)
+        ingest_link(gw, "e1", t, rssi=-50.0 - t)
     view = gw.collect(6.0)  # both readings exactly stale_after old
-    assert view.devices[0].t == 3.0
-    assert view.links["r1"][0].t == 3.0
-    assert view.stale == {"r1": (False,)}
-    assert gw.collect(6.25).stale == {"r1": (True,)}
+    assert view.device_t == (3.0,) and view.cpu_used == (30.0,)
+    assert view.link_t["r1"] == (3.0,) and view.rssi["r1"] == (-53.0,)
+    assert view.stale == {"r1": [False]}
+    assert gw.collect(6.25).stale == {"r1": [True]}
 
 
 def test_gateway_flags_stale_after_three_periods():
     gw = make_gateway(edges=("e1",), stale_after=3.0)
-    gw.ingest_device(device_snap("e1", 2.0))
-    gw.ingest_network(net_snap("e1", 4.0))
+    ingest_device(gw, "e1", 2.0)
+    ingest_link(gw, "e1", 4.0)
     # The older reading decides: at 5.5 s the link is fresh, the device is not.
-    assert gw.collect(5.0).stale == {"r1": (False,)}
-    assert gw.collect(5.5).stale == {"r1": (True,)}
+    assert gw.collect(5.0).stale == {"r1": [False]}
+    assert gw.collect(5.5).stale == {"r1": [True]}
 
 
 def test_gateway_reports_unseen_edge_as_absent():
     gw = make_gateway(edges=("e3", "e1"))
-    gw.ingest_device(device_snap("e1", 1.0))
+    ingest_device(gw, "e1", 1.0)
     view = gw.collect(2.0)
     assert view.edge_ids == ("e1", "e3")
-    assert view.devices[1] is None and view.links["r1"] == (None, None)
-    assert view.devices[0] is not None
+    assert view.device_t == (1.0, NEVER) and view.link_t["r1"] == (NEVER, NEVER)
+    assert view.stale == {"r1": [True, True]}
 
 
 def test_gateway_ignores_other_robots_network_readings():
     gw = make_gateway(edges=("e1",), robots=("r1", "r2"))
-    gw.ingest_device(device_snap("e1", 1.0))
-    gw.ingest_network(net_snap("e1", 1.0, robot_id="r2"))
-    gw.ingest_network(net_snap("e1", 1.0, robot_id="r9"))  # not in the fleet
-    gw.ingest_network(net_snap("e9", 1.0))  # not a known edge
+    ingest_device(gw, "e1", 1.0)
+    ingest_link(gw, "e1", 1.0, robot_id="r2", rssi=-40.0)
+    ingest_link(gw, "e1", 1.0, robot_id="r9")  # not in the fleet
+    ingest_link(gw, "e9", 1.0)  # not a known edge
     view = gw.collect(1.5)
-    assert view.links == {"r1": (None,), "r2": (gw.links["r2"]["e1"],)}
-    assert gw.links["r2"]["e1"].t == 1.0
+    assert view.link_t == {"r1": (NEVER,), "r2": (1.0,)}
+    assert view.rssi == {"r1": (-120.0,), "r2": (-40.0,)}
+    assert sorted(gw.link_t) == ["r1", "r2"] and gw.edge_ids == ("e1",)
     # r1's missing link reading counts as infinitely old; the device
     # reading is the fleet's and fresh for r2.
-    assert view.stale == {"r1": (True,), "r2": (False,)}
+    assert view.stale == {"r1": [True], "r2": [False]}
+    assert view.heard("r1") and view.heard("r2")
 
 
 def test_gateway_missing_device_reading_is_stale_but_present():
-    gw = make_gateway(edges=("e1",))
-    gw.ingest_network(net_snap("e1", 1.0))
+    gw = make_gateway(edges=("e1",), robots=("r1", "r2"))
+    ingest_link(gw, "e1", 1.0)
     view = gw.collect(1.5)
-    assert view.devices == (None,)
-    assert view.links["r1"][0] is not None
-    assert view.stale == {"r1": (True,)}
+    assert view.device_t == (NEVER,)
+    assert view.link_t["r1"] == (1.0,)
+    assert view.stale == {"r1": [True], "r2": [True]}
+    # r1 holds a link reading; r2 has heard from nothing at all.
+    assert view.heard("r1") and not view.heard("r2")
+
+
+def test_gateway_view_is_the_store_at_collect_time():
+    gw = make_gateway(edges=("e1",))
+    ingest_device(gw, "e1", 1.0, cpu=10.0)
+    ingest_link(gw, "e1", 1.0, rssi=-50.0)
+    view = gw.collect(1.0)
+    ingest_device(gw, "e1", 2.0, cpu=20.0)
+    ingest_link(gw, "e1", 2.0, rssi=-70.0)
+    assert view.device_t == (1.0,) and view.cpu_used == (10.0,)
+    assert view.link_t["r1"] == (1.0,) and view.rssi["r1"] == (-50.0,)
+
+
+@pytest.mark.parametrize("ingest", [
+    lambda gw: gw.ingest_device("e1", 1.0, 100.0, 150.0, 4096.0, 1000.0),
+    lambda gw: gw.ingest_device("e9", 1.0, 100.0, 30.0, 4096.0, 5000.0),  # unknown edge too
+    lambda gw: gw.ingest_network("r1", "e1", 1.0, 5.0),
+    lambda gw: gw.ingest_network("r9", "e1", 1.0, -130.0),  # unknown robot too
+])
+def test_gateway_checks_every_reading_it_is_given(ingest):
+    gw = make_gateway(edges=("e1",))
+    with pytest.raises(InvalidSnapshotError):
+        ingest(gw)
+    assert gw.device_t == [NEVER] and gw.link_t == {"r1": [NEVER]}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,9 @@ from offloadsim.scheduler import (
     UtilityTableMsg,
     calculate_utility,
     exchange_and_sum,
-    fleet_proposals,
+    fleet_votes,
     select_max_edge,
+    summed_scores,
     validate_sticky_bonus,
 )
 from offloadsim.utility import (
@@ -271,6 +274,17 @@ def test_sum_over_edges_empty_input_rejected():
         sum_over_edges({"r1": {}})
 
 
+def test_summed_scores_adds_plainly_left_to_right_from_the_own_score():
+    # 1e16 + 1.0 rounds back to 1e16, so a plain left-to-right sum of
+    # this column is 0.0 where a compensated one (math.fsum, or builtin
+    # sum from Python 3.12) is 1.0. The golden pins assume the plain sum.
+    column = (1e16, 1.0, -1e16)
+    assert math.fsum(column) == 1.0
+    assert summed_scores([column], 0) == [0.0]
+    assert summed_scores([column], 1) == [0.0]  # 1.0, then 1e16, then -1e16
+    assert summed_scores([column], 2) == [1.0]  # -1e16, then 1e16, then 1.0
+
+
 @given(
     tables=st.dictionaries(
         keys=st.sampled_from(["r1", "r2", "r3", "r4"]),
@@ -368,7 +382,7 @@ def robot_view(devices, links):
 
 
 def reference_proposals(views, robots, bonus, weights, iteration):
-    """Each robot's proposal as the round ran before ``fleet_proposals``.
+    """Each robot's proposal as the round ran before ``fleet_votes``.
 
     Every robot builds and broadcasts its table from its own view and
     observes every peer's; each then adds its own table first and the
@@ -398,14 +412,15 @@ def reference_proposals(views, robots, bonus, weights, iteration):
 
 
 def fleet_store(devices, robots):
+    """The fleet's store holding the round's readings, written as floats."""
     store = Gateway(robots, devices, STALE_AFTER)
-    for device in devices.values():
-        if device is not None:
-            store.ingest_device(device)
+    for d in devices.values():
+        if d is not None:
+            store.ingest_device(d.edge_id, d.t, d.cpu_max, d.cpu_used, d.mem_max, d.mem_used)
     for links, _ in robots.values():
-        for network in links.values():
-            if network is not None:
-                store.ingest_network(network)
+        for n in links.values():
+            if n is not None:
+                store.ingest_network(n.robot_id, n.edge_id, n.t, n.rssi)
     return store
 
 
@@ -427,10 +442,10 @@ def test_fleet_round_matches_table_exchange(round_):
     view = fleet_store(devices, robots).collect(NOW)
     if expected is None:
         with pytest.raises(NoCandidatesError):
-            fleet_proposals(scheds, view, iteration)
+            fleet_votes(scheds, view)
         return
-    # Proposals compare their summed tables with ==, so every bit counts.
-    assert fleet_proposals(scheds, view, iteration) == expected
+    # Near-tied votes hinge on the last bits of each robot's sums.
+    assert fleet_votes(scheds, view) == {rid: p.max_edge for rid, p in expected.items()}
     proposed = {rid: sched.propose(views[rid], NOW, iteration) for rid, sched in observed.items()}
     assert proposed == expected
 
@@ -441,4 +456,4 @@ def test_fleet_round_needs_one_weight_vector():
     scheds = fleet_schedulers(robots, 0.0, CPU_ONLY)
     scheds["r2"] = scheduler("r2", weights=Weights(0.5, 0.0, 0.5))
     with pytest.raises(ConfigError):
-        fleet_proposals(scheds, fleet_store(devices, robots).collect(NOW), 0)
+        fleet_votes(scheds, fleet_store(devices, robots).collect(NOW))

@@ -22,7 +22,7 @@ from offloadsim.config import (
     ScenarioConfig,
     SpikeModel,
 )
-from offloadsim import netsim, scheduler, simharness
+from offloadsim import netsim, profiling, scheduler, simharness, utility
 from offloadsim.netsim import LinkModel
 from offloadsim.consensus import Decision
 from offloadsim.errors import ConfigError, NoCandidatesError, TraceFormatError
@@ -38,7 +38,7 @@ from offloadsim.simharness import (
     inject_spikes,
     run_scenario,
 )
-from offloadsim.utility import DeviceSnapshot, NetworkSnapshot, TaskSpec
+from offloadsim.utility import TaskSpec
 
 
 def fresh_state(robots=("r1", "r2", "r3"), capacity_factor=1.0) -> EdgeExecState:
@@ -359,7 +359,8 @@ def test_each_robot_is_scored_once_per_decision_round(monkeypatch):
             return original(*args, **kwargs)
         return counted
 
-    for name in ("cpu_utility", "memory_utility", "rssi_utility", "calculate_utility"):
+    for name in ("cpu_score", "memory_score", "rssi_score",
+                 "cpu_utility", "memory_utility", "rssi_utility", "calculate_utility"):
         monkeypatch.setattr(scheduler, name, counting(name))
     cfg = replace(stress_scenario(seed=2, scheme="dynamic:both"),
                   duration=60.0, nominal_duration=None)
@@ -369,33 +370,64 @@ def test_each_robot_is_scored_once_per_decision_round(monkeypatch):
     assert rounds
     edges, robots = len(sim.edge_ids), len(sim.robot_ids)
     assert calls == {
-        "cpu_utility": edges * rounds,
-        "memory_utility": edges * rounds,
-        "rssi_utility": robots * edges * rounds,
+        "cpu_score": edges * rounds,
+        "memory_score": edges * rounds,
+        "rssi_score": robots * edges * rounds,
     }
-
-
-def _readings_held(obj) -> Counter:
-    """Count the device and network readings reachable from obj's attributes."""
-    held: Counter = Counter()
-    stack = list(vars(obj).values())
-    while stack:
-        item = stack.pop()
-        if isinstance(item, (DeviceSnapshot, NetworkSnapshot)):
-            held[type(item).__name__] += 1
-        elif isinstance(item, dict):
-            stack.extend(item.values())
-        elif isinstance(item, (list, tuple, set)):
-            stack.extend(item)
-    return held
 
 
 def test_gateway_memory_is_bounded_by_the_fleet_not_the_horizon():
     sim = Simulation(stress_scenario(seed=1, scheme="dynamic:both"))
     sim.run()
+    gw = sim.gateway
+    edges = len(sim.edge_ids)
+    assert [len(col) for col in (gw.device_t, gw.cpu_max, gw.cpu_used, gw.mem_max,
+                                 gw.mem_used)] == [edges] * 5
+    assert sorted(gw.link_t) == sorted(gw.rssi) == sim.robot_ids
+    assert {len(col) for col in (*gw.link_t.values(), *gw.rssi.values())} == {edges}
+    assert all(type(v) is float for col in (gw.device_t, *gw.rssi.values()) for v in col)
+
+
+@pytest.mark.parametrize("replayed", [False, True], ids=["synthetic", "replay"])
+def test_readings_reach_the_store_as_floats_not_snapshots(monkeypatch, tmp_path, replayed):
+    # Every reading is checked once as it reaches the store (a replayed
+    # row also once at load), and none is built as a snapshot.
+    built = Counter()
+    checked = Counter()
+    for cls in (utility.DeviceSnapshot, utility.NetworkSnapshot):
+        def counted(self, post_init=cls.__post_init__):
+            built[type(self).__name__] += 1
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for name in ("check_device_reading", "check_network_reading"):
+        def counting(*args, check=getattr(utility, name), name=name):
+            checked[name] += 1
+            return check(*args)
+        monkeypatch.setattr(profiling, name, counting)
+    cfg = replace(stress_scenario(seed=1, scheme="dynamic:both"),
+                  duration=60.0, nominal_duration=None)
+    if replayed:
+        sim = Simulation(cfg, *write_replay_fixture(tmp_path, seconds=60))
+        loaded = Counter(checked)  # every row, one per edge and per link each second
+        assert loaded == {"check_device_reading": 61 * 3, "check_network_reading": 61 * 9}
+    else:
+        sim = Simulation(cfg)
+        loaded = Counter()
+    handled = Counter()
+    for kind in ("sample", "trace_device", "trace_net"):
+        def handle(*args, handler=getattr(sim, f"_on_{kind}"), kind=kind):
+            handled[kind] += 1
+            handler(*args)
+        setattr(sim, f"_on_{kind}", handle)
+    report = sim.run()
+    assert report.decisions and report.generated > 0
+    assert built == Counter()
     edges, robots = len(sim.edge_ids), len(sim.robot_ids)
-    assert _readings_held(sim.gateway) == {
-        "DeviceSnapshot": edges, "NetworkSnapshot": robots * edges}
+    assert checked - loaded == {
+        "check_device_reading": handled["sample"] * edges + handled["trace_device"],
+        "check_network_reading": handled["sample"] * robots * edges + handled["trace_net"],
+    }
+    assert (handled["sample"] == 0) == replayed
 
 
 # ------------------------------------------------------ the run's record
@@ -780,7 +812,8 @@ def test_fixed_scheme_takes_no_samples():
     sim._on_sample = lambda now: (sampled.append(now), on_sample(now))
     sim.run()
     assert sampled == []
-    assert _readings_held(sim.gateway) == Counter()
+    times = [sim.gateway.device_t, *sim.gateway.link_t.values()]
+    assert {t for col in times for t in col} == {profiling.NEVER}
 
 
 def test_only_the_host_is_advanced_and_only_once_placed(monkeypatch):
@@ -964,7 +997,7 @@ def test_replay_defers_decision_rounds_until_the_first_reading(tmp_path):
     # A robot that has heard nothing still has no candidates of its own.
     unheard = Gateway(["r1"], ["e1", "e2"], 3.0).collect(9.0)
     with pytest.raises(NoCandidatesError):
-        scheduler.fleet_proposals(sim.schedulers, unheard, 9)
+        scheduler.fleet_votes(sim.schedulers, unheard)
 
 
 def test_replay_robot_that_has_heard_nothing_casts_no_vote(tmp_path):
