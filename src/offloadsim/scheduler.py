@@ -1,24 +1,26 @@
-"""Per-robot offload scheduler.
+"""Offload scheduling: the fleet's decision round.
 
 Every decision round each robot scores all known edges from the fleet's
 readings, shares that table with its peers, adds the fleet's tables
 edge-wise, and proposes the edge with the highest combined score.
-Selection is damped by a sticky bonus: the currently selected edge gets
-a small additive boost, so a rival must beat the incumbent by more than
-the bonus before the robot proposes a switch. This hysteresis is what
-keeps near-tied utilities from flapping the task back and forth.
+Selection is damped by a sticky bonus: the incumbent edge gets a small
+additive boost, so a rival must beat the incumbent by more than the
+bonus before a robot proposes a switch. This hysteresis is what keeps
+near-tied utilities from flapping the task back and forth.
 
 The edge-wise sum has one implementation, ``summed_scores``: each
 robot adds its own score first and then its peers' in ascending robot
 id, with builtin ``sum``. The order decides the last bits of a sum, and
-those bits decide near-tied votes. ``fleet_votes`` runs a round in
-which every table reaches every robot at once, straight from the float
-columns of the fleet's one reading store (``FleetView``): each edge's
+those bits decide near-tied votes. ``fleet_votes`` is the round the
+simulation runs, one function of the fleet's one reading store
+(``FleetView``) and the incumbent, the fleet's last winner: each edge's
 CPU and memory axes are scored once and each link once, the tables
 become one score column per edge, each robot sums those columns in its
 own order, and the round returns each robot's vote as an edge id.
-``Scheduler.propose`` is the same vote for one robot, from a per-edge
-view of its own (``EdgeData``), against the peer tables it has observed.
+``Scheduler`` is one robot's side of the same round as a table
+exchange (``build_table``, ``observe_peer``, ``propose``); the
+simulation builds none, and it stays as the round's test reference and
+as patch points of perfbench's tracer.
 
 Staleness rules: an edge whose readings are stale (or missing) scores
 zero so it cannot win on outdated data. If every edge has gone stale
@@ -251,25 +253,28 @@ class Scheduler:
             self.selected_edge = winner
 
 
-def fleet_votes(schedulers: Mapping[str, Scheduler], view: FleetView) -> dict[str, str]:
+def fleet_votes(
+    view: FleetView,
+    incumbent: Optional[str],
+    task: TaskSpec,
+    bounds: NetworkBounds,
+    weights: Weights,
+    sticky_bonus: float,
+) -> dict[str, str]:
     """Every robot's vote in a round where each table reaches every peer at once.
 
-    Gives each robot the edge it would propose after observing every
-    other robot's fresh table, scored straight from the store's columns:
-    the CPU and memory axes once per edge, the link axis once per fresh
-    (robot, edge) pair, each score the float ``calculate_utility``
-    gives. The fleet shares one task, one set of bounds and one weight
-    vector. Robots are scored in ascending id, so the first robot that
-    has heard from no edge raises.
+    The voters are the robots of ``view`` that have heard anything, in
+    ascending id; a robot that has heard from no edge casts no vote, so
+    a round before any reading returns none. Each voter gets the edge it
+    would propose after observing every other voter's table, scored
+    straight from the store's columns: the CPU and memory axes once per
+    edge, the link axis once per fresh (robot, edge) pair, each score
+    the float ``calculate_utility`` gives. The incumbent is the fleet's
+    last winner, so it is every robot's: its fresh score gets the
+    sticky bonus, and a voter whose pairs are all stale keeps it.
     """
-    order = sorted(schedulers)
     edge_ids = view.edge_ids
-    if not order or not edge_ids:
-        raise NoCandidatesError("no edges known to the scheduler")
-    first = schedulers[order[0]]
-    task, bounds, weights = shared = (first.task, first.bounds, first.weights)
-    if any((s.task, s.bounds, s.weights) != shared for s in schedulers.values()):
-        raise ConfigError("a fleet round needs one task, bounds and weights for every robot")
+    order = [rid for rid in sorted(view.stale) if view.heard(rid)]
     # total_utility adds left to right, so its first two terms are the
     # same float for every robot and are added once per edge.
     w_cpu, w_mem, w_net = weights.w_cpu, weights.w_mem, weights.w_net
@@ -279,29 +284,22 @@ def fleet_votes(schedulers: Mapping[str, Scheduler], view: FleetView) -> dict[st
         for t, cpu_max, cpu_used, mem_max, mem_used in zip(
             view.device_t, view.cpu_max, view.cpu_used, view.mem_max, view.mem_used)
     ]
+    held = None if incumbent is None else edge_ids.index(incumbent)
     tables: list[list[float]] = []
-    kept: list[Optional[str]] = []  # a robot with nothing fresh keeps its incumbent
     for rid in order:
-        if not view.heard(rid):
-            raise NoCandidatesError("all edges absent from the gateway view")
-        sched = schedulers[rid]
         stale = view.stale[rid]
         table = [
             0.0 if is_stale else term + w_net * rssi_score(rssi, bounds)
             for is_stale, term, rssi in zip(stale, device_terms, view.rssi[rid])
         ]
-        selected = sched.selected_edge
-        if selected in edge_ids:
-            j = edge_ids.index(selected)
-            if not stale[j]:
-                table[j] += sched.sticky_bonus
+        if held is not None and not stale[held]:
+            table[held] += sticky_bonus
         tables.append(table)
-        kept.append(selected if all(stale) else None)
     columns = list(zip(*tables))
     votes: dict[str, str] = {}
     for index, rid in enumerate(order):
-        if kept[index] is not None:
-            votes[rid] = kept[index]
+        if incumbent is not None and all(view.stale[rid]):
+            votes[rid] = incumbent  # nothing fresh to compare
             continue
         # edge_ids is sorted, so the first maximum is select_max_edge's
         # winner: exact ties go to the smallest id.

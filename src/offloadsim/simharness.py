@@ -56,13 +56,14 @@ draws, so a draw they share is seeded once.
 
 Where the task runs is recorded once per robot, as its executor's
 ``previous`` winner, and once for the run, as ``Simulation.host``; the
-host moves whenever the round's winner differs from it.
+host moves whenever the round's winner differs from it, and it is the
+incumbent every robot's vote favours.
 
 A report holds its record compactly. Its time series (``Timeseries``)
-is one float or integer column per metric, read as a tuple of
-``TickRow``, and once a round's decisions are found equal every
-robot's log holds the first robot's ``Decision`` for that round; the
-first robot's log is the report's ``decisions``.
+is one float or integer column per metric, and once a round's
+decisions are found equal every robot's log holds the first robot's
+``Decision`` for that round; the first robot's log is the report's
+``decisions``.
 
 Scheme semantics: ``fixed:<edge>`` pins the task to one edge and runs
 no scheduler at all; ``dynamic:<variant>`` runs the full decision
@@ -77,7 +78,6 @@ import itertools
 import statistics
 from array import array
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Optional
@@ -96,7 +96,7 @@ from .profiling import (
     load_network_trace,
     spike_load,  # noqa: F401 - perfbench's tracer wraps simharness.spike_load
 )
-from .scheduler import Scheduler, fleet_votes
+from .scheduler import fleet_votes
 
 # Event priorities at equal timestamps: readings land before messages,
 # execution precedes the decision round, metrics sample last.
@@ -215,23 +215,7 @@ def apply_remap(src: EdgeExecState, dst: EdgeExecState) -> None:
     src.rate_ema = 0.0
 
 
-@dataclass(frozen=True)
-class TickRow:
-    """One metrics sample: true per-edge state at time t."""
-
-    t: float
-    host: str
-    cpu: dict[str, float]
-    mem_pct: dict[str, float]
-    queue: dict[str, int]
-    throughput_mbps: dict[str, float]
-    generated: int
-    processed: int
-    dropped: int
-    merged: int
-
-
-class Timeseries(Sequence):
+class Timeseries:
     """A run's metrics samples held as columns, in time order.
 
     ``t`` is a float column, ``host`` the host edge's id per sample
@@ -241,10 +225,8 @@ class Timeseries(Sequence):
     (floats) and ``queue`` (integers) are one column each that holds a
     value per edge per sample, sample by sample in ``edge_ids`` order,
     so a run builds nine columns whatever its fleet size;
-    ``edge_column(name, edge_id)`` returns one edge's values. It reads as
-    a tuple of ``TickRow``: ``len()`` is the sample count, ``ts[k]``
-    builds sample k's row and a slice a tuple of rows. ``==`` compares
-    the columns.
+    ``edge_column(name, edge_id)`` returns one edge's values. ``len()``
+    is the sample count, and ``==`` compares the columns.
     """
 
     __slots__ = ("edge_ids", "t", "host", "cpu", "mem_pct", "queue", "throughput_mbps",
@@ -269,26 +251,6 @@ class Timeseries(Sequence):
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(*k.indices(len(self))))
-        t = self.t[k]  # raises IndexError as a tuple would
-        m = len(self.edge_ids)
-        first = (k % len(self)) * m
-        span = slice(first, first + m)
-        return TickRow(
-            t=t,
-            host=self.host[k],
-            cpu=dict(zip(self.edge_ids, self.cpu[span])),
-            mem_pct=dict(zip(self.edge_ids, self.mem_pct[span])),
-            queue=dict(zip(self.edge_ids, self.queue[span])),
-            throughput_mbps=dict(zip(self.edge_ids, self.throughput_mbps[span])),
-            generated=self.generated[k],
-            processed=self.processed[k],
-            dropped=self.dropped[k],
-            merged=self.merged[k],
-        )
 
     def __eq__(self, other):
         if not isinstance(other, Timeseries):
@@ -400,15 +362,7 @@ class Simulation:
             rid: {} for rid in self.robot_ids if not self.robots[rid].waypoints
         }
         self.gateway = Gateway(self.robot_ids, self.edge_ids, 3.0 * cfg.sample_period)
-        weights = cfg.effective_weights()
-        self.schedulers = {
-            rid: Scheduler(
-                rid, cfg.task, cfg.bounds, weights,
-                sticky_bonus=cfg.sticky_bonus,
-                peer_staleness=3.0 * cfg.decision_period,
-            )
-            for rid in self.robot_ids
-        }
+        self.weights = cfg.effective_weights()
         self.executors = {
             rid: ConsensusExecutor(rid, len(self.robot_ids)) for rid in self.robot_ids
         }
@@ -570,9 +524,9 @@ class Simulation:
     def _on_sample(self, now: float) -> None:
         # Profilers report background load (base + spikes + noise); the
         # task's own induced load shows up in the service law and the
-        # metrics, not in the readings the schedulers compare. Feeding
-        # the task's load back into its own placement signal would
-        # penalize whichever edge hosts it and defeat the hysteresis.
+        # metrics, not in the readings the decision round compares.
+        # Feeding the task's load back into its own placement signal
+        # would penalize whichever edge hosts it and defeat the hysteresis.
         # A sample is the first reading at its instant, so each link is
         # drawn without _link_rssi's look for one.
         gateway = self.gateway
@@ -663,12 +617,11 @@ class Simulation:
     def _on_decision(self, now: float) -> None:
         iteration = self.iteration
         self.iteration += 1
-        view = self.gateway.collect(now)
-        # A robot that has heard from no edge yet (replayed traces may
-        # start late) casts no vote; with no voter the round is deferred,
-        # as one short of quorum is.
-        voters = {rid: sched for rid, sched in self.schedulers.items() if view.heard(rid)}
-        votes = fleet_votes(voters, view) if voters else {}
+        # Replayed traces may start late: with no robot that has heard
+        # anything there is no vote, and the round is deferred as one
+        # short of quorum is.
+        votes = fleet_votes(self.gateway.collect(now), self.host, self.cfg.task,
+                            self.cfg.bounds, self.weights, self.cfg.sticky_bonus)
         first, *rest = self.robot_ids
         decision = self.executors[first].on_proposals(votes, iteration)
         for rid in rest:
@@ -683,8 +636,6 @@ class Simulation:
             # The first placement launches the task; it is not a switch.
             self.switch_count += decision.switched
             self._move_host(decision.winner, now)
-        for rid in self.robot_ids:
-            self.schedulers[rid].commit(decision.winner)
 
     def _move_host(self, new_host: str, now: float) -> None:
         old = self.host

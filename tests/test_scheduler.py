@@ -318,14 +318,15 @@ AGES = {"fresh": (0.0, 1.0, STALE_AFTER), "stale": (3.5, 8.0)}
 
 @st.composite
 def fleet_rounds(draw):
-    """The store's readings, incumbents, bonus and weights for a fleet round.
+    """The store's readings, the incumbent, bonus and weights for a fleet round.
 
     Up to 8 robots and 5 edges: one device reading per edge and one
     link reading per (robot, edge) pair, each fresh (age up to exactly
     the staleness window), stale or absent. CPU and link scores are
     multiples of 0.1, so exact ties are common and the order of the
     additions changes the rounding of the sums. About one robot in four
-    has no fresh link at all.
+    has no fresh link at all. The incumbent is the fleet's last winner,
+    so one per round.
     """
     n_robots = draw(st.integers(min_value=1, max_value=8))
     edges = [f"e{j}" for j in range(1, draw(st.integers(min_value=1, max_value=5)) + 1)]
@@ -354,16 +355,8 @@ def fleet_rounds(draw):
             # -85 + 5.5 k dBm scores exactly k / 10 on the link axis.
             links[edge_id] = None if t is None else NetworkSnapshot(
                 rid, edge_id, t, -85.0 + 5.5 * draw(st.integers(min_value=0, max_value=10)))
-        robots[rid] = (links, draw(st.sampled_from([None, *edges])))
-    return devices, robots, bonus, weights
-
-
-def fleet_schedulers(robots, bonus, weights):
-    scheds = {}
-    for rid, (_, incumbent) in robots.items():
-        scheds[rid] = scheduler(rid, h=bonus, weights=weights)
-        scheds[rid].commit(incumbent)
-    return scheds
+        robots[rid] = links
+    return devices, robots, draw(st.sampled_from([None, *edges])), bonus, weights
 
 
 def robot_view(devices, links):
@@ -381,7 +374,7 @@ def robot_view(devices, links):
     return view
 
 
-def reference_proposals(views, robots, bonus, weights, iteration):
+def reference_proposals(views, incumbent, bonus, weights, iteration):
     """Each robot's proposal as the round ran before ``fleet_votes``.
 
     Every robot builds and broadcasts its table from its own view and
@@ -391,7 +384,9 @@ def reference_proposals(views, robots, bonus, weights, iteration):
     are all stale keeps its incumbent. Returns the proposals and the
     schedulers, which hold every peer's table.
     """
-    scheds = fleet_schedulers(robots, bonus, weights)
+    scheds = {rid: scheduler(rid, h=bonus, weights=weights) for rid in views}
+    for sched in scheds.values():
+        sched.commit(incumbent)
     tables = {rid: scheds[rid].build_table(views[rid], NOW, iteration) for rid in scheds}
     proposals = {}
     for rid, sched in scheds.items():
@@ -417,43 +412,42 @@ def fleet_store(devices, robots):
     for d in devices.values():
         if d is not None:
             store.ingest_device(d.edge_id, d.t, d.cpu_max, d.cpu_used, d.mem_max, d.mem_used)
-    for links, _ in robots.values():
+    for links in robots.values():
         for n in links.values():
             if n is not None:
                 store.ingest_network(n.robot_id, n.edge_id, n.t, n.rssi)
     return store
 
 
+def links_now(robot_id, steps):
+    """A robot's links to e1, e2, ..., read at ``NOW`` at -85 + 5.5 k dBm."""
+    return {f"e{j}": NetworkSnapshot(robot_id, f"e{j}", NOW, -85.0 + 5.5 * k)
+            for j, k in enumerate(steps, 1)}
+
+
 @settings(max_examples=300)
 @given(fleet_rounds())
 @example(({"e1": None},
-          {"r1": ({"e1": None}, None),
-           "r2": ({"e1": NetworkSnapshot("r2", "e1", NOW, -40.0)}, None)},
-          0.0, Weights(0.5, 0.0, 0.5)))
+          {"r1": {"e1": None}, "r2": {"e1": NetworkSnapshot("r2", "e1", NOW, -40.0)}},
+          None, 0.0, Weights(0.5, 0.0, 0.5)))
+# Summed plainly with its own score first, r3 votes e2; summed exactly
+# (math.fsum) it votes e1.
+@example(({e: DeviceSnapshot(e, NOW, 100.0, cpu, 4096.0, 0.0)
+           for e, cpu in (("e1", 40.0), ("e2", 10.0))},
+          {rid: links_now(rid, steps)
+           for rid, steps in (("r1", (9, 9)), ("r2", (5, 1)), ("r3", (1, 6)), ("r4", (9, 6)))},
+          "e1", 0.1, Weights(0.4, 0.2, 0.4)))
 def test_fleet_round_matches_table_exchange(round_):
-    devices, robots, bonus, weights = round_
+    devices, robots, incumbent, bonus, weights = round_
     iteration = 4
-    views = {rid: robot_view(devices, links) for rid, (links, _) in robots.items()}
-    try:
-        expected, observed = reference_proposals(views, robots, bonus, weights, iteration)
-    except NoCandidatesError:
-        expected = None
-    scheds = fleet_schedulers(robots, bonus, weights)
+    views = {rid: robot_view(devices, links) for rid, links in robots.items()}
+    # A robot that has heard nothing has no table to share and no vote.
+    heard = {rid: view for rid, view in views.items()
+             if any(data is not None for data in view.values())}
+    expected, observed = reference_proposals(heard, incumbent, bonus, weights, iteration)
     view = fleet_store(devices, robots).collect(NOW)
-    if expected is None:
-        with pytest.raises(NoCandidatesError):
-            fleet_votes(scheds, view)
-        return
     # Near-tied votes hinge on the last bits of each robot's sums.
-    assert fleet_votes(scheds, view) == {rid: p.max_edge for rid, p in expected.items()}
-    proposed = {rid: sched.propose(views[rid], NOW, iteration) for rid, sched in observed.items()}
+    votes = fleet_votes(view, incumbent, TASK, BOUNDS, weights, bonus)
+    assert votes == {rid: p.max_edge for rid, p in expected.items()}
+    proposed = {rid: sched.propose(heard[rid], NOW, iteration) for rid, sched in observed.items()}
     assert proposed == expected
-
-
-def test_fleet_round_needs_one_weight_vector():
-    devices = {"e1": DeviceSnapshot("e1", NOW, 100.0, 20.0, 4096.0, 0.0)}
-    robots = {rid: ({"e1": NetworkSnapshot(rid, "e1", NOW, -40.0)}, None) for rid in ("r1", "r2")}
-    scheds = fleet_schedulers(robots, 0.0, CPU_ONLY)
-    scheds["r2"] = scheduler("r2", weights=Weights(0.5, 0.0, 0.5))
-    with pytest.raises(ConfigError):
-        fleet_votes(scheds, fleet_store(devices, robots).collect(NOW))
