@@ -8,19 +8,17 @@ additive boost, so a rival must beat the incumbent by more than the
 bonus before a robot proposes a switch. This hysteresis is what keeps
 near-tied utilities from flapping the task back and forth.
 
-The edge-wise sum has one implementation, ``summed_scores``: each
-robot adds its own score first and then its peers' in ascending robot
-id, with builtin ``sum``. The order decides the last bits of a sum, and
-those bits decide near-tied votes. ``fleet_votes`` is the round the
-simulation runs, one function of the fleet's one reading store
-(``FleetView``) and the incumbent, the fleet's last winner: each edge's
-CPU and memory axes are scored once and each link once, the tables
-become one score column per edge, each robot sums those columns in its
-own order, and the round returns each robot's vote as an edge id.
-``Scheduler`` is one robot's side of the same round as a table
-exchange (``build_table``, ``observe_peer``, ``propose``); the
-simulation builds none, and it stays as the round's test reference and
-as patch points of perfbench's tracer.
+Each edge's fleet sum is exactly rounded (``math.fsum``), so it does not
+depend on the order the scores are added in, and every robot that
+votes on the sums votes for the same edge. ``fleet_votes`` is the round
+the simulation runs, one function of the fleet's one reading store
+(``FleetView``) and the incumbent, the fleet's last winner: one pass
+scores every fresh (robot, edge) pair from the store's columns, sums
+each edge once and takes one argmax, and the round returns each
+robot's vote as an edge id. ``Scheduler`` is one robot's side of the
+same round as a table exchange (``build_table``, ``observe_peer``,
+``propose``); the simulation builds none, and it stays as the round's
+test reference and as patch points of perfbench's tracer.
 
 Staleness rules: an edge whose readings are stale (or missing) scores
 zero so it cannot win on outdated data. If every edge has gone stale
@@ -31,8 +29,9 @@ tables older than the staleness window are excluded from the sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import ConfigError, NoCandidatesError
 from .profiling import NEVER, EdgeData, FleetView
@@ -130,36 +129,6 @@ def calculate_utility(
     return table
 
 
-def score_columns(tables: Sequence[Mapping[str, float]]) -> dict[str, tuple[float, ...]]:
-    """One score column per edge, holding every table's score in table order.
-
-    Edges are the sorted union of the tables' keys; a table without an
-    edge puts 0.0 in that edge's column. Raises if no table names an edge.
-    """
-    edges = sorted(set().union(*tables))
-    if not edges:
-        raise NoCandidatesError("utility tables name no edges")
-    return {edge: tuple(table.get(edge, 0.0) for table in tables) for edge in edges}
-
-
-def summed_scores(columns: Sequence[Sequence[float]], index: int) -> list[float]:
-    """Each column's sum as the table at ``index`` of the columns adds it.
-
-    That table's own score comes first, then every other score in
-    column order, added with builtin ``sum``. The order decides the last
-    bits, and the last bits decide near-tied votes, so a shared sum or
-    ``math.fsum`` would change votes. The golden pins hold on Python
-    3.11 and older, where ``sum`` adds floats plainly left to right;
-    from 3.12 it compensates its rounding, so the pins that hinge on the
-    order (``fleet12x4``) can differ there until the fleet sum is made
-    exact (ROADMAP item 2). A Python-level loop would keep the plain
-    order on every version, at about 5% of a 40-robot run's time.
-    """
-    # The second sum starts from the first's float, so together they
-    # add own, before, after in one left-to-right order.
-    return [sum(col[index + 1:], sum(col[:index], col[index])) for col in columns]
-
-
 def exchange_and_sum(
     robot_id: str,
     own_table: Mapping[str, float],
@@ -167,15 +136,21 @@ def exchange_and_sum(
     now: float,
     staleness_window: float,
 ) -> dict[str, float]:
-    """Edge-wise sum of this robot's table and every fresh peer table."""
-    tables: dict[str, Mapping[str, float]] = {robot_id: own_table}
-    for peer_id, peer in peers.items():
-        if peer_id == robot_id or now - peer.received_at > staleness_window:
-            continue
-        tables[peer_id] = peer.table
-    order = sorted(tables)
-    columns = score_columns([tables[rid] for rid in order])
-    return dict(zip(columns, summed_scores(list(columns.values()), order.index(robot_id))))
+    """Edge-wise sum of this robot's table and every fresh peer table.
+
+    Edges are the sorted union of the tables' keys, and a table without
+    an edge adds 0 to it. Each sum is exactly rounded (``math.fsum``),
+    so it is the same whichever robot adds it. Raises if no table names
+    an edge.
+    """
+    tables = [own_table] + [
+        peer.table for peer_id, peer in peers.items()
+        if peer_id != robot_id and now - peer.received_at <= staleness_window
+    ]
+    edges = sorted(set().union(*tables))
+    if not edges:
+        raise NoCandidatesError("utility tables name no edges")
+    return {edge: math.fsum(table.get(edge, 0.0) for table in tables) for edge in edges}
 
 
 def select_max_edge(
@@ -263,18 +238,18 @@ def fleet_votes(
 ) -> dict[str, str]:
     """Every robot's vote in a round where each table reaches every peer at once.
 
-    The voters are the robots of ``view`` that have heard anything, in
-    ascending id; a robot that has heard from no edge casts no vote, so
-    a round before any reading returns none. Each voter gets the edge it
-    would propose after observing every other voter's table, scored
-    straight from the store's columns: the CPU and memory axes once per
-    edge, the link axis once per fresh (robot, edge) pair, each score
-    the float ``calculate_utility`` gives. The incumbent is the fleet's
-    last winner, so it is every robot's: its fresh score gets the
-    sticky bonus, and a voter whose pairs are all stale keeps it.
+    The voters are the robots of ``view`` that have heard anything; a
+    robot that has heard from no edge casts no vote, so a round before
+    any reading returns none. Every fresh (robot, edge) pair is scored
+    straight from the store's columns, the CPU and memory axes once per
+    edge and the link axis once per pair, each score the float
+    ``calculate_utility`` gives; stale pairs score 0 and are left out.
+    The incumbent is the fleet's last winner, so it is every robot's:
+    each of its fresh scores gets the sticky bonus. Each edge is summed
+    once, exactly, and every voter votes the edge with the highest sum,
+    except that a voter whose pairs are all stale keeps the incumbent.
     """
     edge_ids = view.edge_ids
-    order = [rid for rid in sorted(view.stale) if view.heard(rid)]
     # total_utility adds left to right, so its first two terms are the
     # same float for every robot and are added once per edge.
     w_cpu, w_mem, w_net = weights.w_cpu, weights.w_mem, weights.w_net
@@ -284,25 +259,19 @@ def fleet_votes(
         for t, cpu_max, cpu_used, mem_max, mem_used in zip(
             view.device_t, view.cpu_max, view.cpu_used, view.mem_max, view.mem_used)
     ]
-    held = None if incumbent is None else edge_ids.index(incumbent)
-    tables: list[list[float]] = []
-    for rid in order:
-        stale = view.stale[rid]
-        table = [
-            0.0 if is_stale else term + w_net * rssi_score(rssi, bounds)
-            for is_stale, term, rssi in zip(stale, device_terms, view.rssi[rid])
-        ]
-        if held is not None and not stale[held]:
-            table[held] += sticky_bonus
-        tables.append(table)
-    columns = list(zip(*tables))
-    votes: dict[str, str] = {}
-    for index, rid in enumerate(order):
-        if incumbent is not None and all(view.stale[rid]):
-            votes[rid] = incumbent  # nothing fresh to compare
-            continue
-        # edge_ids is sorted, so the first maximum is select_max_edge's
-        # winner: exact ties go to the smallest id.
-        summed = summed_scores(columns, index)
-        votes[rid] = edge_ids[summed.index(max(summed))]
-    return votes
+    columns: list[list[float]] = [[] for _ in edge_ids]
+    for rid, stale in view.stale.items():
+        for column, is_stale, term, rssi in zip(columns, stale, device_terms, view.rssi[rid]):
+            if not is_stale:
+                column.append(term + w_net * rssi_score(rssi, bounds))
+    if incumbent is not None:
+        held = edge_ids.index(incumbent)
+        columns[held] = [score + sticky_bonus for score in columns[held]]
+    sums = [math.fsum(column) for column in columns]
+    # edge_ids is sorted, so the first maximum is select_max_edge's
+    # winner: exact ties go to the smallest id.
+    winner = edge_ids[sums.index(max(sums))]
+    return {
+        rid: incumbent if incumbent is not None and all(view.stale[rid]) else winner
+        for rid in sorted(view.stale) if view.heard(rid)
+    }

@@ -4,11 +4,11 @@ One run wires the whole pipeline together: synthetic profilers (or
 replayed trace rows) write floats into the fleet's one reading store
 (``Gateway``), whose columns are aligned with the sorted edge ids; each
 decision round scores every edge's device once and every link once
-from those columns, and every robot adds the fleet's scores in its own
-order and votes for an edge (``scheduler.fleet_votes``); every robot's
-executor computes the same consensus decision, the task moves to the
-winner with its waiting work (``apply_remap``), and the host edge
-executes the fleet's task messages under a load-dependent service law.
+from those columns, sums each edge once exactly, and each robot votes
+for the top sum (``scheduler.fleet_votes``); each robot's executor
+computes the same consensus decision, the task moves to the winner with
+its waiting work (``apply_remap``), and the host edge runs the fleet's
+task messages under a load-dependent service law.
 No reading is built as an object on the way: a sample or a replayed
 row is a few floats, checked and written into the store's columns, and
 a vote is an edge id. A single priority queue orders events by (time,
@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import statistics
 from array import array
 from bisect import bisect_right
@@ -836,7 +837,7 @@ def compare_schemes(
             switches_mean=statistics.fmean([r.switch_count for r in reports]),
             cpu_variance_mean=statistics.fmean([r.cpu_balance_variance() for r in reports]),
             throughput_mean=statistics.fmean(
-                [sum(m.mean_throughput_mbps for m in r.per_edge.values()) for r in reports]
+                [math.fsum(m.mean_throughput_mbps for m in r.per_edge.values()) for r in reports]
             ),
         )
     return ComparisonResult(tuple(schemes), tuple(seeds), tuple(runs), summary)

@@ -12,8 +12,12 @@ and says in CHANGES.md which runs moved and why.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import importlib
 import json
+import math
+import pkgutil
 import sys
 import tempfile
 from dataclasses import replace
@@ -21,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+import offloadsim
 from offloadsim.cli import render_decisions_csv, render_metrics_csv
 from offloadsim.config import EdgeSpec, ExecModel, RobotSpec, ScenarioConfig, SpikeModel
 from offloadsim.netsim import LinkModel
@@ -81,9 +86,9 @@ def fleet_scenario() -> ScenarioConfig:
     The short, steep link makes every robot's link score exactly 1 to
     the edge at its own site and exactly 0 to the others, whatever the
     shadowing draw. e1 and e2 carry the same load and there is no
-    measurement noise, so while no spike lands on either their summed
-    scores are equal in exact arithmetic, and the order in which each
-    robot adds the fleet's scores decides its vote in the last bits.
+    measurement noise, so while no spike lands on either their fleet
+    sums are equal in exact arithmetic and near-tied as floats. The pin
+    holds the votes decided on those exactly rounded sums.
     """
     robots = []
     for k, site in enumerate(FLEET_ROBOT_SITES, 1):
@@ -195,6 +200,39 @@ def test_outputs_match_golden_hashes(name, tmp_path):
 def test_every_golden_entry_is_a_pinned_run():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(RUNS)
+
+
+def compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as CPython 3.12 adds floats: Neumaier-compensated.
+
+    Python 3.11 and older add floats plainly left to right. Anything but
+    an all-float input falls back to builtin ``sum``.
+    """
+    items = list(iterable)
+    if not all(type(x) is float for x in items):
+        return builtins.sum(items, start)
+    total, c = start, 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+OFFLOADSIM_MODULES = [offloadsim] + [
+    importlib.import_module(f"offloadsim.{info.name}")
+    for info in pkgutil.iter_modules(offloadsim.__path__)
+]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_match_golden_hashes_under_a_compensated_sum(name, tmp_path, monkeypatch):
+    """The pins do not depend on how the interpreter's ``sum`` rounds."""
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0  # plainly, 0.0
+    for module in OFFLOADSIM_MODULES:
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert output_hashes(name, tmp_path) == golden[name]
 
 
 def main() -> int:

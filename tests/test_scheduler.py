@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -19,7 +20,6 @@ from offloadsim.scheduler import (
     exchange_and_sum,
     fleet_votes,
     select_max_edge,
-    summed_scores,
     validate_sticky_bonus,
 )
 from offloadsim.utility import (
@@ -226,12 +226,13 @@ def test_select_max_edge_matches_bruteforce(scores):
 # ---------------------------------------------------- edge-wise sum oracle
 
 def sum_over_edges(tables):
-    """Add per-robot utility tables edge-wise, in the mapping's robot order.
+    """Add per-robot utility tables edge-wise, exactly rounded.
 
     ``tables`` maps robot id to that robot's edge->score table. The
     result covers the union of all edges seen; a robot missing an entry
-    contributes 0 for that edge. Keys come back sorted. This is the
-    reference the fleet round's sums are compared against.
+    contributes 0 for that edge. Keys come back sorted. Each sum is
+    ``math.fsum``'s, so it does not depend on the robot order. This is
+    the reference the fleet round's sums are compared against.
     """
     if not tables:
         raise NoCandidatesError("no utility tables to sum")
@@ -241,7 +242,7 @@ def sum_over_edges(tables):
     if not edges:
         raise NoCandidatesError("utility tables name no edges")
     return {
-        edge: sum(table.get(edge, 0.0) for table in tables.values())
+        edge: math.fsum(table.get(edge, 0.0) for table in tables.values())
         for edge in sorted(edges)
     }
 
@@ -274,15 +275,16 @@ def test_sum_over_edges_empty_input_rejected():
         sum_over_edges({"r1": {}})
 
 
-def test_summed_scores_adds_plainly_left_to_right_from_the_own_score():
+def test_exchange_and_sum_is_exact_whichever_robot_owns_which_score():
     # 1e16 + 1.0 rounds back to 1e16, so a plain left-to-right sum of
-    # this column is 0.0 where a compensated one (math.fsum, or builtin
-    # sum from Python 3.12) is 1.0. The golden pins assume the plain sum.
-    column = (1e16, 1.0, -1e16)
-    assert math.fsum(column) == 1.0
-    assert summed_scores([column], 0) == [0.0]
-    assert summed_scores([column], 1) == [0.0]  # 1.0, then 1e16, then -1e16
-    assert summed_scores([column], 2) == [1.0]  # -1e16, then 1e16, then 1.0
+    # this column is 0.0 or 1.0 depending on the order; the exact sum is 1.0.
+    for column in itertools.permutations((1e16, 1.0, -1e16)):
+        tables = {rid: {"e1": score} for rid, score in zip(("r1", "r2", "r3"), column)}
+        for rid, own in tables.items():
+            peers = {peer: PeerTable(table, received_at=10.0, iteration=0)
+                     for peer, table in tables.items() if peer != rid}
+            summed = exchange_and_sum(rid, own, peers, now=10.0, staleness_window=3.0)
+            assert summed == {"e1": 1.0}
 
 
 @given(
@@ -323,10 +325,10 @@ def fleet_rounds(draw):
     Up to 8 robots and 5 edges: one device reading per edge and one
     link reading per (robot, edge) pair, each fresh (age up to exactly
     the staleness window), stale or absent. CPU and link scores are
-    multiples of 0.1, so exact ties are common and the order of the
-    additions changes the rounding of the sums. About one robot in four
-    has no fresh link at all. The incumbent is the fleet's last winner,
-    so one per round.
+    multiples of 0.1, so exact ties are common and sums added plainly in
+    different orders would round apart. About one robot in four has no
+    fresh link at all. The incumbent is the fleet's last winner, so one
+    per round.
     """
     n_robots = draw(st.integers(min_value=1, max_value=8))
     edges = [f"e{j}" for j in range(1, draw(st.integers(min_value=1, max_value=5)) + 1)]
@@ -378,11 +380,11 @@ def reference_proposals(views, incumbent, bonus, weights, iteration):
     """Each robot's proposal as the round ran before ``fleet_votes``.
 
     Every robot builds and broadcasts its table from its own view and
-    observes every peer's; each then adds its own table first and the
-    peers' in ascending id with ``sum_over_edges`` and takes the highest
-    sum, exact ties to the smallest edge id. A robot whose present edges
-    are all stale keeps its incumbent. Returns the proposals and the
-    schedulers, which hold every peer's table.
+    observes every peer's; each then adds its own table and the peers'
+    with ``sum_over_edges`` and takes the highest sum, exact ties to the
+    smallest edge id. A robot whose present edges are all stale keeps
+    its incumbent. Returns the proposals and the schedulers, which hold
+    every peer's table.
     """
     scheds = {rid: scheduler(rid, h=bonus, weights=weights) for rid in views}
     for sched in scheds.values():
@@ -430,8 +432,8 @@ def links_now(robot_id, steps):
 @example(({"e1": None},
           {"r1": {"e1": None}, "r2": {"e1": NetworkSnapshot("r2", "e1", NOW, -40.0)}},
           None, 0.0, Weights(0.5, 0.0, 0.5)))
-# Summed plainly with its own score first, r3 votes e2; summed exactly
-# (math.fsum) it votes e1.
+# Near-tied sums: added plainly with its own score first, r3's sums favour
+# e2; under exact sums (math.fsum) r3 votes e1 like every other voter.
 @example(({e: DeviceSnapshot(e, NOW, 100.0, cpu, 4096.0, 0.0)
            for e, cpu in (("e1", 40.0), ("e2", 10.0))},
           {rid: links_now(rid, steps)
@@ -446,8 +448,9 @@ def test_fleet_round_matches_table_exchange(round_):
              if any(data is not None for data in view.values())}
     expected, observed = reference_proposals(heard, incumbent, bonus, weights, iteration)
     view = fleet_store(devices, robots).collect(NOW)
-    # Near-tied votes hinge on the last bits of each robot's sums.
     votes = fleet_votes(view, incumbent, TASK, BOUNDS, weights, bonus)
     assert votes == {rid: p.max_edge for rid, p in expected.items()}
+    # Every voter that has a fresh pair reads the same sums, so votes the same edge.
+    assert len({vote for rid, vote in votes.items() if not all(view.stale[rid])}) <= 1
     proposed = {rid: sched.propose(heard[rid], NOW, iteration) for rid, sched in observed.items()}
     assert proposed == expected
