@@ -53,8 +53,7 @@ def render_metrics_csv(report: MetricsReport) -> str:
                   map(str, ts.edge_column("queue", eid)),
                   map(_fmt, ts.edge_column("throughput_mbps", eid))]
     cells += [map(str, col) for col in (ts.generated, ts.processed, ts.dropped, ts.merged)]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header), *map(",".join, zip(*cells)), ""])
 
 
 def render_decisions_csv(report: MetricsReport) -> str:
@@ -65,7 +64,8 @@ def render_decisions_csv(report: MetricsReport) -> str:
         lines.append(
             f"{d.iteration},{d.winner or ''},{votes},{str(d.switched).lower()}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def summary_dict(report: MetricsReport) -> dict:

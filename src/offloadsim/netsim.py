@@ -13,19 +13,20 @@ Shadowing is a pure function of (seed, endpoints, sample time), not a
 stateful RNG stream, so evaluating the same link twice at the same
 instant always yields the same value regardless of call order. It
 follows ``LinkModel.seed``, not a run's seed. ``rssi_at`` given a draw
-memo (a dict its caller owns) seeds each such draw once.
+memo (a dict its caller owns) makes each such draw once.
 
-Every shadowing and noise draw goes through ``keyed_draw``: the value
-``random.Random(key)`` would give for a string key, computed by
-reseeding one shared generator, so no ``Random`` is built per draw.
+Every shadowing and noise draw goes through ``keyed_draw``, a
+counter-based draw: one 16-byte BLAKE2b digest of the key string gives
+two 53-bit uniforms, and a Gaussian is built from them by Box-Muller.
+No generator state exists, so a draw is a pure function of its key.
 """
 
 from __future__ import annotations
 
-import _random
 import math
 from dataclasses import dataclass
-from hashlib import sha512
+from hashlib import blake2b
+from struct import Struct
 from typing import NamedTuple, Optional
 
 from .errors import ConfigError, require_finite
@@ -89,29 +90,28 @@ class Delivery(NamedTuple):
         return self.arrival_at is None
 
 
-# The one generator every draw reseeds. Random(key) seeds from the integer
-# int.from_bytes(b + sha512(b).digest()) of b = key.encode() (Random.seed,
-# version 2), so seeding the C generator with it gives the same stream
-# without building a Random or running the Python seed and gauss layers.
-_generator = _random.Random()
+# A 16-byte digest read as two little-endian 64-bit words; the top 53
+# bits of each, scaled by 2**-53, are a uniform in [0, 1), as
+# Random.random's are. The byte order is fixed, not the platform's.
+_two_words = Struct("<QQ").unpack
+_UNIT = 2.0 ** -53
 
 
 def keyed_draw(key: str, scale: float, gaussian: bool) -> float:
-    """``Random(key).gauss(0.0, scale)``, or ``Random(key).uniform(-scale, scale)``.
+    """A zero-mean Gaussian of deviation ``scale``, or a uniform in [-scale, scale).
 
-    The same float, bit for bit: the first Box-Muller value ``gauss``
-    returns, or the ``a + (b - a) * random()`` of ``uniform``. Nothing
-    carries over from one call to the next.
+    Both come from ``blake2b(key, digest_size=16)`` split into uniforms
+    u1 and u2: the Gaussian is the first Box-Muller value
+    ``Random.gauss`` would build from them, ``cos(u1*tau) *
+    sqrt(-2*log(1-u2)) * scale``, and the uniform is ``-scale + 2*scale*u1``.
+    Equal keys give equal bits whatever the call order.
     """
-    b = key.encode()
-    generator = _generator
-    generator.seed(int.from_bytes(b + sha512(b).digest(), "big"))
-    random = generator.random
+    hi, lo = _two_words(blake2b(key.encode(), digest_size=16).digest())
+    u1 = (hi >> 11) * _UNIT
     if gaussian:
-        x2pi = random() * math.tau
-        g2rad = math.sqrt(-2.0 * math.log(1.0 - random()))
-        return 0.0 + math.cos(x2pi) * g2rad * scale
-    return -scale + (scale - -scale) * random()
+        u2 = (lo >> 11) * _UNIT
+        return math.cos(u1 * math.tau) * math.sqrt(-2.0 * math.log(1.0 - u2)) * scale
+    return -scale + 2.0 * scale * u1
 
 
 def _shadowing_db(link: LinkModel, src: str, dst: str, t: float,

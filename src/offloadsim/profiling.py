@@ -14,9 +14,10 @@ is held as an object: both sources write floats, checked by
 Readings come either from a seeded synthetic generator, in which load
 is base plus any active spikes plus bounded measurement noise, or from
 device and network trace CSVs that the harness replays bit-exactly.
-Noise is a pure function of (run seed, edge, axis, t, amplitude), drawn
-by ``netsim.keyed_draw``; given a draw memo, a profiler seeds each draw
-once, keyed as ``netsim`` keys shadowing.
+Noise is a pure function of (run seed, edge, axis, t, amplitude): a
+uniform that ``netsim.keyed_draw`` derives from one BLAKE2b hash of a
+key naming all five. Given a draw memo, a profiler makes each draw
+once, memoized as ``netsim`` memoizes shadowing.
 
 A loaded trace is held as columns: ``load_device_trace`` returns one
 ``DeviceTrace`` per edge and ``load_network_trace`` one

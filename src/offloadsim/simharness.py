@@ -50,9 +50,9 @@ sends and arrivals build no message objects. ``run()`` calls each
 ``_on_<kind>`` handler directly. A sample draws each link's shadowing
 before any send at its instant (``P_SAMPLE`` sorts first), so a send
 or buffered transmit at a sample instant reads that reading instead of
-drawing the same key again; a single run seeds each draw key once.
+drawing the same key again; a single run hashes each draw key once.
 ``compare_schemes`` gives its runs one memo of shadowing and noise
-draws, so a draw they share is seeded once.
+draws, so a draw they share is made once.
 
 Where the task runs is recorded once per robot, as its executor's
 ``previous`` winner, and once for the run, as ``Simulation.host``; the
@@ -62,8 +62,9 @@ incumbent every robot's vote favours.
 A report holds its record compactly. Its time series (``Timeseries``)
 is one float or integer column per metric, and once a round's
 decisions are found equal every robot's log holds the first robot's
-``Decision`` for that round; the first robot's log is the report's
-``decisions``.
+``Decision`` for that round. The report's ``decisions`` is one tuple,
+made once the logs are found equal, and every robot's entry in
+``per_robot_decisions`` is that tuple.
 
 Scheme semantics: ``fixed:<edge>`` pins the task to one edge and runs
 no scheduler at all; ``dynamic:<variant>`` runs the full decision
@@ -226,8 +227,9 @@ class Timeseries:
     (floats) and ``queue`` (integers) are one column each that holds a
     value per edge per sample, sample by sample in ``edge_ids`` order,
     so a run builds nine columns whatever its fleet size;
-    ``edge_column(name, edge_id)`` returns one edge's values. ``len()``
-    is the sample count, and ``==`` compares the columns.
+    ``edge_column(name, edge_id)`` iterates over one edge's values
+    without copying them. ``len()`` is the sample count, and ``==``
+    compares the columns.
     """
 
     __slots__ = ("edge_ids", "t", "host", "cpu", "mem_pct", "queue", "throughput_mbps",
@@ -246,9 +248,10 @@ class Timeseries:
         self.dropped = array("q")
         self.merged = array("q")
 
-    def edge_column(self, name: str, edge_id: str) -> array:
+    def edge_column(self, name: str, edge_id: str) -> itertools.islice:
         """One edge's values of the per-edge metric ``name``, one per sample."""
-        return getattr(self, name)[self.edge_ids.index(edge_id)::len(self.edge_ids)]
+        column, edges = getattr(self, name), self.edge_ids
+        return itertools.islice(column, edges.index(edge_id), None, len(edges))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -707,7 +710,12 @@ class Simulation:
                 f"edges+flight+buffer={accounted} (unmerged={unmerged})"
             )
         ticks = max(len(self.timeseries), 1)
-        logs = {rid: tuple(self.executors[rid].decisions) for rid in self.robot_ids}
+        first, *rest = self.robot_ids
+        log = self.executors[first].decisions
+        for rid in rest:
+            if self.executors[rid].decisions != log:
+                raise RuntimeError(f"decision logs diverged: {rid} disagrees with {first}")
+        decisions = tuple(log)
         per_edge = {
             eid: EdgeMetrics(
                 edge_id=eid,
@@ -734,8 +742,8 @@ class Simulation:
             queued=queued,
             dropped=self.dropped,
             per_edge=per_edge,
-            decisions=logs[self.robot_ids[0]],
-            per_robot_decisions=logs,
+            decisions=decisions,
+            per_robot_decisions=dict.fromkeys(self.robot_ids, decisions),
             timeseries=self.timeseries,
         )
 

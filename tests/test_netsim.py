@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from statistics import NormalDist
 
 import pytest
 from hypothesis import example, given
@@ -85,18 +87,56 @@ draw_keys = st.one_of(
 scales = st.floats(min_value=0.0, max_value=1e3)
 
 
-@given(draws=st.lists(st.tuples(draw_keys, scales, st.booleans()), min_size=1, max_size=8))
-@example(draws=[("k", 2.0, True), ("k", 2.0, True), ("k", 2.0, False), ("j", 0.5, True)])
-@example(draws=[("x", 0.0, True), ("x", 0.0, False)])  # signed zeros
-def test_keyed_draw_equals_a_fresh_random_per_key(draws):
+@given(draws=st.lists(st.tuples(draw_keys, scales, st.booleans()), min_size=1, max_size=8),
+       order=st.randoms(use_true_random=False))
+@example(draws=[("k", 2.0, True), ("k", 2.0, True), ("k", 2.0, False), ("j", 0.5, True)],
+         order=random.Random(0))
+@example(draws=[("x", 0.0, True), ("x", 0.0, False)], order=random.Random(0))  # signed zeros
+def test_equal_keys_give_equal_bits_whatever_the_call_order(draws, order):
     # Interleaved gauss and uniform draws, repeated keys included: any
-    # state left from one call (a cached second Box-Muller value, an
-    # unseeded stream) would show in the next.
-    for key, scale, gaussian in draws:
-        rng = random.Random(key)
-        expected = rng.gauss(0.0, scale) if gaussian else rng.uniform(-scale, scale)
-        got = keyed_draw(key, scale, gaussian)
-        assert repr(got) == repr(expected), (key, scale, gaussian)
+    # state left from one call would show when the calls are reordered.
+    first = [repr(keyed_draw(*draw)) for draw in draws]
+    shuffled = list(range(len(draws)))
+    order.shuffle(shuffled)
+    again = {i: repr(keyed_draw(*draws[i])) for i in shuffled}
+    assert [again[i] for i in range(len(draws))] == first
+
+
+def _distribution_keys() -> list[str]:
+    """10^5 distinct keys in the shape of the shadowing keys."""
+    return [f"{i % 5}/shadow/r{i % 11}/e{i % 7}/{i * 0.1!r}" for i in range(10**5)]
+
+
+def _mean_and_variance(values):
+    mean = math.fsum(values) / len(values)
+    return mean, math.fsum((v - mean) ** 2 for v in values) / (len(values) - 1)
+
+
+def test_keyed_gaussian_draws_match_the_normal_distribution():
+    keys, sigma = _distribution_keys(), 2.0
+    n = len(keys)
+    values = [keyed_draw(key, sigma, True) for key in keys]
+    mean, variance = _mean_and_variance(values)
+    # Bounds are five standard errors of each estimate over n draws.
+    assert abs(mean) < 5 * sigma / math.sqrt(n)
+    assert abs(variance / sigma**2 - 1.0) < 5 * math.sqrt(2.0 / n)
+    normal = NormalDist(0.0, sigma)
+    for k in (2, 3):
+        expected = 2.0 * normal.cdf(-k * sigma)
+        observed = sum(abs(v) > k * sigma for v in values) / n
+        assert abs(observed - expected) < 5 * math.sqrt(expected * (1.0 - expected) / n), k
+
+
+def test_keyed_uniform_draws_fill_the_half_open_interval():
+    keys, scale = _distribution_keys(), 3.0
+    n = len(keys)
+    values = [keyed_draw(key, scale, False) for key in keys]
+    assert all(-scale <= v < scale for v in values)
+    mean, variance = _mean_and_variance(values)
+    # A uniform on [-s, s) has variance s^2 / 3 and fourth moment s^4 / 5.
+    var, fourth = scale**2 / 3.0, scale**4 / 5.0
+    assert abs(mean) < 5 * math.sqrt(var / n)
+    assert abs(variance - var) < 5 * math.sqrt((fourth - var**2) / n)
 
 
 def test_link_model_validation():

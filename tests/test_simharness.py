@@ -1,6 +1,5 @@
 """Discrete-event harness: execution law, accounting, and comparisons."""
 
-import _random
 import gc
 import json
 import re
@@ -450,6 +449,23 @@ def test_a_diverging_executor_stops_the_run(monkeypatch):
         sim.run()
 
 
+def test_a_diverging_executor_log_stops_the_report():
+    # The report hands every robot one shared log only after finding each
+    # executor's own log equal to it.
+    sim = Simulation(stress_scenario(seed=1, scheme="dynamic:both"))
+    report = sim.run()
+    assert all(log is report.decisions for log in report.per_robot_decisions.values())
+    log = sim.executors["r3"].decisions
+    honest = list(log)
+    flipped = replace(honest[5], switched=not honest[5].switched)
+    for diverged in (honest[:5] + [flipped] + honest[6:], honest[:-1]):
+        log[:] = diverged
+        with pytest.raises(RuntimeError, match="^decision logs diverged: r3 disagrees with r1$"):
+            sim._report()
+    log[:] = honest
+    assert sim._report() == report
+
+
 class OnePlacementSimulation(Simulation):
     """Checks after every decision round that placement has one record:
     every executor's ``previous`` winner is the host, which the round
@@ -729,17 +745,18 @@ def test_compare_reports_match_the_same_runs_made_alone(case):
         assert _rendered(row.report) == _rendered(alone), (row.scheme, row.seed)
 
 
-def _count_seeding(monkeypatch) -> list:
-    """Record the key of every shadowing and noise draw seeded from now on."""
+def _count_draws(monkeypatch) -> list:
+    """Record the key of every shadowing and noise draw made from now on."""
     keys = []
+    draw = netsim.keyed_draw
 
-    class Counting(_random.Random):
-        def seed(self, n):
-            # n is int.from_bytes(key + sha512(key).digest()), as Random(key) seeds.
-            keys.append(n.to_bytes((n.bit_length() + 7) // 8, "big")[:-64].decode())
-            super().seed(n)
+    def counting(key, scale, gaussian):
+        keys.append(key)
+        return draw(key, scale, gaussian)
 
-    monkeypatch.setattr(netsim, "_generator", Counting())
+    # profiling imports the name, so both modules' references are wrapped.
+    monkeypatch.setattr(netsim, "keyed_draw", counting)
+    monkeypatch.setattr(profiling, "keyed_draw", counting)
     return keys
 
 
@@ -750,7 +767,7 @@ def _drawing_config():
 def test_compare_seeds_each_draw_once_per_call(monkeypatch):
     cfg = _drawing_config()
     schemes = ["fixed:e1", "dynamic:cpu", "dynamic:both"]
-    seeds = _count_seeding(monkeypatch)
+    seeds = _count_draws(monkeypatch)
     compare_schemes(cfg, schemes, seeds=[1, 2])
     first = list(seeds)
     assert any("/shadow/" in s for s in first) and any("/noise/" in s for s in first)
@@ -762,7 +779,7 @@ def test_compare_seeds_each_draw_once_per_call(monkeypatch):
 
 
 def test_a_single_run_seeds_each_draw_key_once(monkeypatch):
-    keys = _count_seeding(monkeypatch)
+    keys = _count_draws(monkeypatch)
     run_scenario(_drawing_config())
     # 21 samples x (4 noise + 4 shadowing) draws, plus one shadowing draw
     # for each of the 38 messages sent between sample instants after the
@@ -772,7 +789,7 @@ def test_a_single_run_seeds_each_draw_key_once(monkeypatch):
 
 
 def test_a_send_at_a_sample_instant_seeds_nothing(monkeypatch):
-    keys = _count_seeding(monkeypatch)
+    keys = _count_draws(monkeypatch)
     sim = Simulation(_drawing_config())  # samples every 1 s, sends every 0.5 s
     seeded: Counter[float] = Counter()  # send time -> draws seeded by its sends
     on_send = sim._on_send
