@@ -1,6 +1,8 @@
-"""Golden-output pins: sha256 of the rendered metrics.csv and decisions.csv.
+"""Golden-output pins: sha256 of a run's metrics.csv, decisions.csv and summaries.
 
-Each pinned run is hashed through the CLI renderers and compared with
+Each pinned run is written as ``offloadsim run`` writes it
+(``write_run_outputs``), and its ``metrics.csv``, ``decisions.csv``,
+``summary.json`` and ``summary.txt`` are hashed and compared with
 ``tests/golden/hashes.json``. A change meant to leave behaviour alone
 (a refactor, a speed-up) must leave every hash as it is. A change that
 alters output on purpose rewrites the file with
@@ -26,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import offloadsim
-from offloadsim.cli import render_decisions_csv, render_metrics_csv
+from offloadsim.cli import write_run_outputs
 from offloadsim.config import EdgeSpec, ExecModel, RobotSpec, ScenarioConfig, SpikeModel
 from offloadsim.netsim import LinkModel
 from offloadsim.scenarios import flapping_scenario, stress_scenario
@@ -34,6 +36,7 @@ from offloadsim.simharness import default_schemes, run_scenario
 from offloadsim.utility import TaskSpec
 
 GOLDEN = Path(__file__).parent / "golden" / "hashes.json"
+PINNED_FILES = ("metrics.csv", "decisions.csv", "summary.json", "summary.txt")
 
 STRESS_SEEDS = (1, 2, 3, 4, 5)
 FLAPPING_BONUSES = (0.0, 0.05)
@@ -184,11 +187,9 @@ def _digest(text: str) -> str:
 def output_hashes(name: str, trace_dir: Path) -> dict[str, str]:
     cfg, replays = RUNS[name]
     traces = write_replay_fixture(trace_dir) if replays else (None, None)
-    report = run_scenario(cfg, *traces)
-    return {
-        "metrics.csv": _digest(render_metrics_csv(report)),
-        "decisions.csv": _digest(render_decisions_csv(report)),
-    }
+    out_dir = trace_dir / "out"
+    write_run_outputs(run_scenario(cfg, *traces), cfg, out_dir)
+    return {name: _digest((out_dir / name).read_text(encoding="utf-8")) for name in PINNED_FILES}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
