@@ -193,11 +193,14 @@ def _load_overridden(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """``run``, or ``replay`` driven by the two trace files."""
     cfg = _load_overridden(args)
-    report = run_scenario(cfg)
-    out_dir = Path(args.out or default_output_name(cfg))
+    replay = args.command == "replay"
+    traces = (args.device_trace, args.net_trace) if replay else (None, None)
+    report = run_scenario(cfg, *traces)
+    out_dir = Path(args.out or default_output_name(cfg, suffix="replay" if replay else ""))
     write_run_outputs(report, cfg, out_dir)
-    print(f"run written to {out_dir}")
+    print(f"{args.command} written to {out_dir}")
     if args.verbose:
         print(render_summary_text(report), end="")
     return 0
@@ -229,17 +232,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    cfg = _load_overridden(args)
-    report = run_scenario(cfg, device_trace=args.device_trace, net_trace=args.net_trace)
-    out_dir = Path(args.out or default_output_name(cfg, suffix="replay"))
-    write_run_outputs(report, cfg, out_dir)
-    print(f"replay written to {out_dir}")
-    if args.verbose:
-        print(render_summary_text(report), end="")
-    return 0
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="offloadsim",
@@ -247,12 +239,15 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one scenario and write its reports")
-    run_p.add_argument("--config", required=True, help="scenario YAML file")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run_p.add_argument("--scheme", default=None, help="override the config scheme")
-    run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--verbose", action="store_true", help="print the summary too")
+    # The flags that ``run`` and ``replay`` share.
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", required=True, help="scenario YAML file")
+    scenario.add_argument("--seed", type=int, default=None, help="override the config seed")
+    scenario.add_argument("--scheme", default=None, help="override the config scheme")
+    scenario.add_argument("--out", default=None, help="output directory")
+    scenario.add_argument("--verbose", action="store_true", help="print the summary too")
+
+    sub.add_parser("run", parents=[scenario], help="run one scenario and write its reports")
 
     cmp_p = sub.add_parser("compare", help="run several schemes over shared seeds")
     cmp_p.add_argument("--config", required=True, help="scenario YAML file")
@@ -267,14 +262,10 @@ def build_parser() -> _Parser:
     )
     cmp_p.add_argument("--out", default=None, help="directory for the comparison files")
 
-    rep_p = sub.add_parser("replay", help="drive the schedulers from recorded traces")
-    rep_p.add_argument("--config", required=True, help="scenario YAML file")
+    rep_p = sub.add_parser("replay", parents=[scenario],
+                           help="drive the schedulers from recorded traces")
     rep_p.add_argument("--device-trace", required=True, help="device readings CSV")
     rep_p.add_argument("--net-trace", required=True, help="RSSI readings CSV")
-    rep_p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    rep_p.add_argument("--scheme", default=None, help="override the config scheme")
-    rep_p.add_argument("--out", default=None, help="output directory")
-    rep_p.add_argument("--verbose", action="store_true", help="print the summary too")
 
     return parser
 
@@ -292,12 +283,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "run":
+        if args.command in ("run", "replay"):
             return cmd_run(args)
         if args.command == "compare":
             return cmd_compare(args)
-        if args.command == "replay":
-            return cmd_replay(args)
         raise OffloadError(f"unknown command {args.command!r}")
     except OffloadError as exc:
         print(f"error: {exc}", file=sys.stderr)

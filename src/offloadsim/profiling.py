@@ -4,12 +4,14 @@ Each edge device is watched by a profiler that emits periodic CPU and
 memory readings; each robot additionally measures the RSSI of its own
 links. The ``Gateway`` is the fleet's one store, and it holds readings
 as float columns aligned with its sorted edge ids: the latest device
-figures once per edge, and the latest link time and RSSI per robot. It
-flags a (robot, edge) pair stale once its older reading is more than
-three sample periods old. Staleness policy (what to do about a stale
-edge) belongs to the scheduler; the store only reports it. No reading
-is held as an object: both sources write floats, checked by
-``utility.check_device_reading`` and ``utility.check_network_reading``.
+figures once per edge, and the latest link time and RSSI per robot. The
+decision round reads those columns in place; the one thing the store
+computes for it is what depends on the round's time, each (robot, edge)
+pair's staleness (``collect``): a pair is stale once its older reading
+is more than three sample periods old. Staleness policy (what to do
+about a stale edge) belongs to the scheduler; the store only reports
+it. No reading is held as an object: both sources write floats, checked
+by ``utility.check_device_reading`` and ``utility.check_network_reading``.
 
 Readings come either from a seeded synthetic generator, in which load
 is base plus any active spikes plus bounded measurement noise, or from
@@ -157,15 +159,12 @@ class SyntheticDeviceProfiler:
     and to memory as a percentage of capacity.
     """
 
-    def __init__(self, profile: DeviceProfile, seed: int, sample_period: float,
-                 noise_amp: float = 2.0, *, draws: Optional[dict] = None) -> None:
-        if sample_period <= 0.0:
-            raise ConfigError(f"sample_period must be positive, got {sample_period}")
+    def __init__(self, profile: DeviceProfile, seed: int, noise_amp: float = 2.0, *,
+                 draws: Optional[dict] = None) -> None:
         if noise_amp < 0.0:
             raise ConfigError(f"noise_amp must be >= 0, got {noise_amp}")
         self.profile = profile
         self.seed = seed
-        self.sample_period = sample_period
         self.noise_amp = noise_amp
         self.draws = draws
 
@@ -348,33 +347,6 @@ class EdgeData:
     stale: bool
 
 
-@dataclass(frozen=True)
-class FleetView:
-    """The store's readings at one instant, as columns aligned with ``edge_ids``.
-
-    ``device_t``, ``cpu_max``, ``cpu_used``, ``mem_max`` and ``mem_used``
-    hold each edge's device reading; ``link_t[robot]`` and
-    ``rssi[robot]`` each of that robot's link readings. A reading never
-    received has time ``NEVER`` (and its figures mean nothing);
-    ``stale[robot]`` flags each of that robot's (robot, edge) pairs.
-    """
-
-    edge_ids: tuple[str, ...]
-    device_t: tuple[float, ...]
-    cpu_max: tuple[float, ...]
-    cpu_used: tuple[float, ...]
-    mem_max: tuple[float, ...]
-    mem_used: tuple[float, ...]
-    link_t: dict[str, tuple[float, ...]]
-    rssi: dict[str, tuple[float, ...]]
-    stale: dict[str, list[bool]]
-
-    def heard(self, robot_id: str) -> bool:
-        """Whether the robot holds any reading: a device's, which every
-        robot shares, or one of its own links'."""
-        return max(self.device_t) > NEVER or max(self.link_t[robot_id]) > NEVER
-
-
 class Gateway:
     """The fleet's one store of the latest profiler readings, as float columns.
 
@@ -386,8 +358,9 @@ class Gateway:
     of the robot's links. A reading never received has time ``NEVER``;
     a link's RSSI then reads -120 dBm, the weakest valid reading. Readings
     arrive in time order, none later than the next ``collect``; each is
-    checked, and one naming an unknown id is then ignored. Staleness is
-    decided here alone: a pair is stale once its older reading is more
+    checked, and one naming an unknown id is then ignored. The decision
+    round reads these columns as they stand. Staleness is decided here
+    alone (``collect``): a pair is stale once its older reading is more
     than ``stale_after`` old, a missing one infinitely.
     """
 
@@ -427,17 +400,13 @@ class Gateway:
             link_t[j] = t
             self.rssi[robot_id][j] = rssi
 
-    def collect(self, now: float) -> FleetView:
-        """Every reading held at time ``now``, with each pair's staleness."""
+    def collect(self, now: float) -> dict[str, list[bool]]:
+        """Each robot's stale mask at time ``now``, in ``edge_ids`` order.
+
+        A pair is stale when either reading is more than ``stale_after``
+        old; ``now - NEVER`` is inf.
+        """
         stale_after = self.stale_after
-        # A pair is stale when either reading is more than stale_after
-        # old; now - NEVER is inf.
         device_stale = [now - t > stale_after for t in self.device_t]
-        return FleetView(
-            self.edge_ids, tuple(self.device_t), tuple(self.cpu_max), tuple(self.cpu_used),
-            tuple(self.mem_max), tuple(self.mem_used),
-            {robot_id: tuple(row) for robot_id, row in self.link_t.items()},
-            {robot_id: tuple(row) for robot_id, row in self.rssi.items()},
-            {robot_id: [stale or now - t > stale_after for stale, t in zip(device_stale, row)]
-             for robot_id, row in self.link_t.items()},
-        )
+        return {robot_id: [stale or now - t > stale_after for stale, t in zip(device_stale, row)]
+                for robot_id, row in self.link_t.items()}

@@ -12,10 +12,11 @@ Each edge's fleet sum is exactly rounded (``math.fsum``), so it does not
 depend on the order the scores are added in, and every robot that
 votes on the sums votes for the same edge. ``fleet_votes`` is the round
 the simulation runs, one function of the fleet's one reading store
-(``FleetView``) and the incumbent, the fleet's last winner: one pass
-scores every fresh (robot, edge) pair from the store's columns, sums
-each edge once and takes one argmax, and the round returns each
-robot's vote as an edge id. ``Scheduler`` is one robot's side of the
+(``profiling.Gateway``), the round's time and the incumbent, the
+fleet's last winner: it asks the store which pairs are stale at that
+time, reads the store's columns in place, scores every fresh (robot,
+edge) pair in one pass, sums each edge once and takes one argmax, and
+the round returns each robot's vote as an edge id. ``Scheduler`` is one robot's side of the
 same round as a table exchange (``build_table``, ``observe_peer``,
 ``propose``); the simulation builds none, and it stays as the round's
 test reference and as patch points of perfbench's tracer.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ConfigError, NoCandidatesError
-from .profiling import NEVER, EdgeData, FleetView
+from .profiling import NEVER, EdgeData, Gateway
 from .utility import (
     NetworkBounds,
     TaskSpec,
@@ -229,7 +230,8 @@ class Scheduler:
 
 
 def fleet_votes(
-    view: FleetView,
+    store: Gateway,
+    now: float,
     incumbent: Optional[str],
     task: TaskSpec,
     bounds: NetworkBounds,
@@ -238,18 +240,20 @@ def fleet_votes(
 ) -> dict[str, str]:
     """Every robot's vote in a round where each table reaches every peer at once.
 
-    The voters are the robots of ``view`` that have heard anything; a
-    robot that has heard from no edge casts no vote, so a round before
-    any reading returns none. Every fresh (robot, edge) pair is scored
-    straight from the store's columns, the CPU and memory axes once per
-    edge and the link axis once per pair, each score the float
+    The voters are the store's robots that hold any reading: a device's,
+    which every robot shares, or one of their own links'. A robot that
+    has heard from no edge casts no vote, so a round before any reading
+    returns none. Every pair fresh at ``now`` (``store.collect``) is
+    scored straight from the store's columns, the CPU and memory axes
+    once per edge and the link axis once per pair, each score the float
     ``calculate_utility`` gives; stale pairs score 0 and are left out.
     The incumbent is the fleet's last winner, so it is every robot's:
     each of its fresh scores gets the sticky bonus. Each edge is summed
     once, exactly, and every voter votes the edge with the highest sum,
     except that a voter whose pairs are all stale keeps the incumbent.
     """
-    edge_ids = view.edge_ids
+    stale = store.collect(now)
+    edge_ids = store.edge_ids
     # total_utility adds left to right, so its first two terms are the
     # same float for every robot and are added once per edge.
     w_cpu, w_mem, w_net = weights.w_cpu, weights.w_mem, weights.w_net
@@ -257,21 +261,23 @@ def fleet_votes(
         0.0 if t == NEVER  # every pair of the edge is stale, so the term is never read
         else w_cpu * cpu_score(cpu_max, cpu_used) + w_mem * memory_score(mem_max, mem_used, task)
         for t, cpu_max, cpu_used, mem_max, mem_used in zip(
-            view.device_t, view.cpu_max, view.cpu_used, view.mem_max, view.mem_used)
+            store.device_t, store.cpu_max, store.cpu_used, store.mem_max, store.mem_used)
     ]
     columns: list[list[float]] = [[] for _ in edge_ids]
-    for rid, stale in view.stale.items():
-        for column, is_stale, term, rssi in zip(columns, stale, device_terms, view.rssi[rid]):
+    for rid, mask in stale.items():
+        for column, is_stale, term, rssi in zip(columns, mask, device_terms, store.rssi[rid]):
             if not is_stale:
                 column.append(term + w_net * rssi_score(rssi, bounds))
     if incumbent is not None:
-        held = edge_ids.index(incumbent)
+        held = store.column[incumbent]
         columns[held] = [score + sticky_bonus for score in columns[held]]
     sums = [math.fsum(column) for column in columns]
     # edge_ids is sorted, so the first maximum is select_max_edge's
     # winner: exact ties go to the smallest id.
     winner = edge_ids[sums.index(max(sums))]
+    device_heard = max(store.device_t) > NEVER
     return {
-        rid: incumbent if incumbent is not None and all(view.stale[rid]) else winner
-        for rid in sorted(view.stale) if view.heard(rid)
+        rid: incumbent if incumbent is not None and all(mask) else winner
+        for rid, mask in stale.items()
+        if device_heard or max(store.link_t[rid]) > NEVER
     }

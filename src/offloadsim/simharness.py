@@ -3,9 +3,9 @@
 One run wires the whole pipeline together: synthetic profilers (or
 replayed trace rows) write floats into the fleet's one reading store
 (``Gateway``), whose columns are aligned with the sorted edge ids; each
-decision round scores every edge's device once and every link once
-from those columns, sums each edge once exactly, and each robot votes
-for the top sum (``scheduler.fleet_votes``); each robot's executor
+decision round reads those columns in place, scores every edge's
+device once and every link once, sums each edge once exactly, and each
+robot votes for the top sum (``scheduler.fleet_votes``); each robot's executor
 computes the same consensus decision, the task moves to the winner with
 its waiting work (``apply_remap``), and the host edge runs the fleet's
 task messages under a load-dependent service law.
@@ -60,7 +60,10 @@ host moves whenever the round's winner differs from it, and it is the
 incumbent every robot's vote favours.
 
 A report holds its record compactly. Its time series (``Timeseries``)
-is one float or integer column per metric, and once a round's
+is one float or integer column per metric, and the run's per-edge CPU
+and memory means and peaks are read from those columns when the report
+is made; only the run's total bits per edge, which the per-window
+throughput column cannot give back, are kept beside it. Once a round's
 decisions are found equal every robot's log holds the first robot's
 ``Decision`` for that round. The report's ``decisions`` is one tuple,
 made once the logs are found equal, and every robot's entry in
@@ -74,9 +77,11 @@ explicit weights).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 import statistics
 from array import array
 from bisect import bisect_right
@@ -154,7 +159,6 @@ class EdgeExecState:
     work_credit: float = 0.0
     task_cpu: float = 0.0
     rate_ema: float = 0.0
-    merged_total: int = 0
 
     @property
     def backlog(self) -> int:
@@ -196,7 +200,6 @@ def edge_execute(
     if merges > 0:
         for rid in state.merge_credits:
             state.merge_credits[rid] -= merges
-        state.merged_total += merges
     return processed, merges
 
 
@@ -337,8 +340,7 @@ class Simulation:
         if not self.replay:
             self.profilers = {
                 eid: SyntheticDeviceProfiler(
-                    profile, seed=cfg.seed, sample_period=cfg.sample_period,
-                    noise_amp=cfg.noise_amp,
+                    profile, seed=cfg.seed, noise_amp=cfg.noise_amp,
                     draws=None if draws is None else draws.setdefault(("noise", cfg.seed), {}),
                 )
                 for eid, profile in self.profiles.items()
@@ -401,10 +403,6 @@ class Simulation:
         # metrics accumulators
         self.window_bits = {eid: 0.0 for eid in self.edge_ids}
         self.total_bits = {eid: 0.0 for eid in self.edge_ids}
-        self.cpu_sum = {eid: 0.0 for eid in self.edge_ids}
-        self.cpu_peak = {eid: 0.0 for eid in self.edge_ids}
-        self.mem_sum = {eid: 0.0 for eid in self.edge_ids}
-        self.mem_peak = {eid: 0.0 for eid in self.edge_ids}
         self.timeseries = Timeseries(self.edge_ids)
 
         self._heap: list[tuple] = []
@@ -624,8 +622,8 @@ class Simulation:
         # Replayed traces may start late: with no robot that has heard
         # anything there is no vote, and the round is deferred as one
         # short of quorum is.
-        votes = fleet_votes(self.gateway.collect(now), self.host, self.cfg.task,
-                            self.cfg.bounds, self.weights, self.cfg.sticky_bonus)
+        votes = fleet_votes(self.gateway, now, self.host, self.cfg.task, self.cfg.bounds,
+                            self.weights, self.cfg.sticky_bonus)
         first, *rest = self.robot_ids
         decision = self.executors[first].on_proposals(votes, iteration)
         for rid in rest:
@@ -657,16 +655,11 @@ class Simulation:
         ts.host.append(self.host or "")
         for eid in self.edge_ids:
             cpu, mem = self._true_load(eid, now)
-            mem_pct = mem / self.profiles[eid].mem_max * 100.0
             ts.cpu.append(cpu)
-            ts.mem_pct.append(mem_pct)
+            ts.mem_pct.append(mem / self.profiles[eid].mem_max * 100.0)
             ts.queue.append(self.exec_states[eid].backlog)
             ts.throughput_mbps.append(self.window_bits[eid] / self.cfg.sample_period / 1e6)
             self.window_bits[eid] = 0.0
-            self.cpu_sum[eid] += cpu
-            self.cpu_peak[eid] = max(self.cpu_peak[eid], cpu)
-            self.mem_sum[eid] += mem_pct
-            self.mem_peak[eid] = max(self.mem_peak[eid], mem_pct)
         ts.generated.append(self.generated)
         ts.processed.append(self.processed)
         ts.dropped.append(self.dropped)
@@ -709,20 +702,30 @@ class Simulation:
                 f"message conservation violated: queued={queued} but "
                 f"edges+flight+buffer={accounted} (unmerged={unmerged})"
             )
-        ticks = max(len(self.timeseries), 1)
+        ts = self.timeseries
+        ticks = max(len(ts), 1)
         first, *rest = self.robot_ids
         log = self.executors[first].decisions
         for rid in rest:
             if self.executors[rid].decisions != log:
                 raise RuntimeError(f"decision logs diverged: {rid} disagrees with {first}")
         decisions = tuple(log)
+
+        # Added left to right, sample by sample, on every interpreter:
+        # builtin sum rounds floats differently from Python 3.12 on.
+        def mean(name: str, eid: str) -> float:
+            return functools.reduce(operator.add, ts.edge_column(name, eid), 0.0) / ticks
+
+        def peak(name: str, eid: str) -> float:
+            return max(ts.edge_column(name, eid), default=0.0)
+
         per_edge = {
             eid: EdgeMetrics(
                 edge_id=eid,
-                mean_cpu=self.cpu_sum[eid] / ticks,
-                peak_cpu=self.cpu_peak[eid],
-                mean_mem_pct=self.mem_sum[eid] / ticks,
-                peak_mem_pct=self.mem_peak[eid],
+                mean_cpu=mean("cpu", eid),
+                peak_cpu=peak("cpu", eid),
+                mean_mem_pct=mean("mem_pct", eid),
+                peak_mem_pct=peak("mem_pct", eid),
                 mean_throughput_mbps=self.total_bits[eid] / elapsed / 1e6 if elapsed > 0 else 0.0,
             )
             for eid in self.edge_ids
@@ -744,7 +747,7 @@ class Simulation:
             per_edge=per_edge,
             decisions=decisions,
             per_robot_decisions=dict.fromkeys(self.robot_ids, decisions),
-            timeseries=self.timeseries,
+            timeseries=ts,
         )
 
 

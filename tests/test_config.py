@@ -76,6 +76,8 @@ def test_sticky_bonus_and_periods_are_bounded():
         minimal_config(sticky_bonus=0.6)
     with pytest.raises(ConfigError, match="decision_period"):
         minimal_config(decision_period=0.0)
+    with pytest.raises(ConfigError, match="sample_period"):
+        minimal_config(sample_period=0.0)
     with pytest.raises(ConfigError, match="nominal_duration"):
         minimal_config(duration=100.0, nominal_duration=200.0)
 

@@ -115,15 +115,15 @@ class EveryWorkSimulation(Simulation):
         for eid in self.edge_ids:
             st = self.exec_states[eid]
             cpu_used, _ = self._true_load(eid, now)
-            processed, _ = edge_execute(st, cpu_used, dt, self.reference_rate)
+            processed, merges = edge_execute(st, cpu_used, dt, self.reference_rate)
             self.processed += processed
+            self.merged_total += merges
             alpha = min(1.0, dt / RATE_SMOOTHING_S)
             st.rate_ema += alpha * (processed / dt - st.rate_ema)
             st.task_cpu = min(
                 em.task_cpu_cap,
                 em.cpu_per_message * st.rate_ema / st.capacity_factor,
             )
-        self.merged_total = sum(s.merged_total for s in self.exec_states.values())
         self._check_completion(now)
 
 

@@ -37,7 +37,7 @@ def profile(**kw):
 
 
 def profiler(p=None, seed=5, noise_amp=0.0):
-    return SyntheticDeviceProfiler(p or profile(), seed=seed, sample_period=1.0, noise_amp=noise_amp)
+    return SyntheticDeviceProfiler(p or profile(), seed=seed, noise_amp=noise_amp)
 
 
 # ------------------------------------------------------- synthetic source
@@ -107,16 +107,14 @@ def test_different_seeds_diverge():
 def test_noise_stays_within_amplitude(t, seed):
     amp = 2.0
     cpu_used, mem_used = SyntheticDeviceProfiler(
-        profile(), seed=seed, sample_period=1.0, noise_amp=amp).sample(t)
+        profile(), seed=seed, noise_amp=amp).sample(t)
     assert abs(cpu_used - 20.0) <= amp
     assert abs(mem_used - 1024.0) <= amp / 100.0 * 4096.0
 
 
 def test_profiler_parameter_validation():
     with pytest.raises(ConfigError):
-        SyntheticDeviceProfiler(profile(), seed=0, sample_period=0.0)
-    with pytest.raises(ConfigError):
-        SyntheticDeviceProfiler(profile(), seed=0, sample_period=1.0, noise_amp=-1.0)
+        SyntheticDeviceProfiler(profile(), seed=0, noise_amp=-1.0)
 
 
 # ------------------------------------------------------------ trace files
@@ -329,11 +327,10 @@ def test_gateway_reports_age_of_freshest_reading():
     for t in (1.0, 2.0, 3.0):
         ingest_device(gw, "e1", t, cpu=10.0 * t)
         ingest_link(gw, "e1", t, rssi=-50.0 - t)
-    view = gw.collect(6.0)  # both readings exactly stale_after old
-    assert view.device_t == (3.0,) and view.cpu_used == (30.0,)
-    assert view.link_t["r1"] == (3.0,) and view.rssi["r1"] == (-53.0,)
-    assert view.stale == {"r1": [False]}
-    assert gw.collect(6.25).stale == {"r1": [True]}
+    assert gw.device_t == [3.0] and gw.cpu_used == [30.0]
+    assert gw.link_t["r1"] == [3.0] and gw.rssi["r1"] == [-53.0]
+    assert gw.collect(6.0) == {"r1": [False]}  # both readings exactly stale_after old
+    assert gw.collect(6.25) == {"r1": [True]}
 
 
 def test_gateway_flags_stale_after_three_periods():
@@ -341,17 +338,16 @@ def test_gateway_flags_stale_after_three_periods():
     ingest_device(gw, "e1", 2.0)
     ingest_link(gw, "e1", 4.0)
     # The older reading decides: at 5.5 s the link is fresh, the device is not.
-    assert gw.collect(5.0).stale == {"r1": [False]}
-    assert gw.collect(5.5).stale == {"r1": [True]}
+    assert gw.collect(5.0) == {"r1": [False]}
+    assert gw.collect(5.5) == {"r1": [True]}
 
 
 def test_gateway_reports_unseen_edge_as_absent():
     gw = make_gateway(edges=("e3", "e1"))
     ingest_device(gw, "e1", 1.0)
-    view = gw.collect(2.0)
-    assert view.edge_ids == ("e1", "e3")
-    assert view.device_t == (1.0, NEVER) and view.link_t["r1"] == (NEVER, NEVER)
-    assert view.stale == {"r1": [True, True]}
+    assert gw.edge_ids == ("e1", "e3")
+    assert gw.device_t == [1.0, NEVER] and gw.link_t["r1"] == [NEVER, NEVER]
+    assert gw.collect(2.0) == {"r1": [True, True]}
 
 
 def test_gateway_ignores_other_robots_network_readings():
@@ -360,36 +356,24 @@ def test_gateway_ignores_other_robots_network_readings():
     ingest_link(gw, "e1", 1.0, robot_id="r2", rssi=-40.0)
     ingest_link(gw, "e1", 1.0, robot_id="r9")  # not in the fleet
     ingest_link(gw, "e9", 1.0)  # not a known edge
-    view = gw.collect(1.5)
-    assert view.link_t == {"r1": (NEVER,), "r2": (1.0,)}
-    assert view.rssi == {"r1": (-120.0,), "r2": (-40.0,)}
+    assert gw.link_t == {"r1": [NEVER], "r2": [1.0]}
+    assert gw.rssi == {"r1": [-120.0], "r2": [-40.0]}
     assert sorted(gw.link_t) == ["r1", "r2"] and gw.edge_ids == ("e1",)
     # r1's missing link reading counts as infinitely old; the device
     # reading is the fleet's and fresh for r2.
-    assert view.stale == {"r1": [True], "r2": [False]}
-    assert view.heard("r1") and view.heard("r2")
+    assert gw.collect(1.5) == {"r1": [True], "r2": [False]}
+    # Both robots hold a reading: the device's, which every robot shares.
+    assert gw.device_t == [1.0]
 
 
 def test_gateway_missing_device_reading_is_stale_but_present():
     gw = make_gateway(edges=("e1",), robots=("r1", "r2"))
     ingest_link(gw, "e1", 1.0)
-    view = gw.collect(1.5)
-    assert view.device_t == (NEVER,)
-    assert view.link_t["r1"] == (1.0,)
-    assert view.stale == {"r1": [True], "r2": [True]}
+    assert gw.device_t == [NEVER]
+    assert gw.link_t["r1"] == [1.0]
+    assert gw.collect(1.5) == {"r1": [True], "r2": [True]}
     # r1 holds a link reading; r2 has heard from nothing at all.
-    assert view.heard("r1") and not view.heard("r2")
-
-
-def test_gateway_view_is_the_store_at_collect_time():
-    gw = make_gateway(edges=("e1",))
-    ingest_device(gw, "e1", 1.0, cpu=10.0)
-    ingest_link(gw, "e1", 1.0, rssi=-50.0)
-    view = gw.collect(1.0)
-    ingest_device(gw, "e1", 2.0, cpu=20.0)
-    ingest_link(gw, "e1", 2.0, rssi=-70.0)
-    assert view.device_t == (1.0,) and view.cpu_used == (10.0,)
-    assert view.link_t["r1"] == (1.0,) and view.rssi["r1"] == (-50.0,)
+    assert gw.link_t["r2"] == [NEVER]
 
 
 @pytest.mark.parametrize("ingest", [

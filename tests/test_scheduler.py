@@ -447,10 +447,11 @@ def test_fleet_round_matches_table_exchange(round_):
     heard = {rid: view for rid, view in views.items()
              if any(data is not None for data in view.values())}
     expected, observed = reference_proposals(heard, incumbent, bonus, weights, iteration)
-    view = fleet_store(devices, robots).collect(NOW)
-    votes = fleet_votes(view, incumbent, TASK, BOUNDS, weights, bonus)
+    store = fleet_store(devices, robots)
+    votes = fleet_votes(store, NOW, incumbent, TASK, BOUNDS, weights, bonus)
     assert votes == {rid: p.max_edge for rid, p in expected.items()}
     # Every voter that has a fresh pair reads the same sums, so votes the same edge.
-    assert len({vote for rid, vote in votes.items() if not all(view.stale[rid])}) <= 1
+    stale = store.collect(NOW)
+    assert len({vote for rid, vote in votes.items() if not all(stale[rid])}) <= 1
     proposed = {rid: sched.propose(heard[rid], NOW, iteration) for rid, sched in observed.items()}
     assert proposed == expected

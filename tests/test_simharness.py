@@ -76,7 +76,6 @@ def test_idle_edge_clears_one_message_per_robot_and_merges_once():
     assert processed == 3
     assert merges == 1
     assert st.backlog == 0
-    assert st.merged_total == 1
 
 
 def test_saturated_cpu_stops_service():
@@ -156,7 +155,6 @@ def reference_edge_execute(state, cpu_used, dt, reference_rate):
     if merges > 0:
         for rid in state.merge_credits:
             state.merge_credits[rid] -= merges
-        state.merged_total += merges
     return processed, merges
 
 
@@ -171,7 +169,6 @@ def exec_cases(draw):
         edge_id="e1",
         capacity_factor=draw(st.sampled_from([0.5, 1.0, 1.5])),
         work_credit=draw(st.floats(min_value=0.0, max_value=4.0)),
-        merged_total=draw(st.integers(0, 5)),
     )
     ticks = draw(st.lists(
         st.tuples(st.floats(min_value=0.0, max_value=120.0),
@@ -186,7 +183,7 @@ def exec_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=exec_cases())
 @example(case=({"r2": 2, "r1": 2, "r3": 1}, {"r2": 0, "r1": 0, "r3": 0},
-               dict(edge_id="e1", capacity_factor=1.0, work_credit=0.0, merged_total=0),
+               dict(edge_id="e1", capacity_factor=1.0, work_credit=0.0),
                [(0.0, 0.3, []), (0.0, 1.0, ["r3"])], 10.0))
 def test_edge_execute_matches_its_reference_body(case):
     queues, credits, fields, ticks, reference_rate = case
@@ -1045,9 +1042,9 @@ def test_replay_defers_decision_rounds_until_the_first_reading(tmp_path):
     assert all(host == "e1" for t, host in zip(ts.t, ts.host) if t >= 3.0)
     assert rep.elapsed == 8.0 and rep.generated > 0
     # A robot that has heard nothing casts no vote.
-    unheard = Gateway(["r1"], ["e1", "e2"], 3.0).collect(9.0)
+    unheard = Gateway(["r1"], ["e1", "e2"], 3.0)
     cfg = sim.cfg
-    assert scheduler.fleet_votes(unheard, "e1", cfg.task, cfg.bounds, sim.weights,
+    assert scheduler.fleet_votes(unheard, 9.0, "e1", cfg.task, cfg.bounds, sim.weights,
                                  cfg.sticky_bonus) == {}
 
 
