@@ -16,10 +16,11 @@ the simulation runs, one function of the fleet's one reading store
 fleet's last winner: it asks the store which pairs are stale at that
 time, reads the store's columns in place, scores every fresh (robot,
 edge) pair in one pass, sums each edge once and takes one argmax, and
-the round returns each robot's vote as an edge id. ``Scheduler`` is one robot's side of the
-same round as a table exchange (``build_table``, ``observe_peer``,
-``propose``); the simulation builds none, and it stays as the round's
-test reference and as patch points of perfbench's tracer.
+the round returns each robot's vote as an edge id. ``Scheduler`` is
+one robot's side of the same round as a table exchange
+(``build_table``, ``observe_peer``, ``propose``); the simulation builds
+none, and it stays as the round's test reference and as patch points
+of perfbench's tracer.
 
 Staleness rules: an edge whose readings are stale (or missing) scores
 zero so it cannot win on outdated data. If every edge has gone stale

@@ -5,10 +5,10 @@ replayed trace rows) write floats into the fleet's one reading store
 (``Gateway``), whose columns are aligned with the sorted edge ids; each
 decision round reads those columns in place, scores every edge's
 device once and every link once, sums each edge once exactly, and each
-robot votes for the top sum (``scheduler.fleet_votes``); each robot's executor
-computes the same consensus decision, the task moves to the winner with
-its waiting work (``apply_remap``), and the host edge runs the fleet's
-task messages under a load-dependent service law.
+robot votes for the top sum (``scheduler.fleet_votes``); each robot's
+executor computes the same consensus decision, the task moves to the
+winner with its waiting work (``apply_remap``), and the host edge runs
+the fleet's task messages under a load-dependent service law.
 No reading is built as an object on the way: a sample or a replayed
 row is a few floats, checked and written into the store's columns, and
 a vote is an edge id. A single priority queue orders events by (time,
